@@ -137,10 +137,10 @@ pub fn e21() {
         );
     }
     println!(
-        "\n(Speedup is bounded by the physical cores of the host — on the 1-core\n\
-         container used for EXPERIMENTS.md the sharded path can only show its\n\
-         routing/channel overhead, like E14. Per-group results stay identical\n\
-         to the sequential engine at every shard count.)"
+        "\n(Speedup is bounded by the physical cores of the host — on the 1–2 core\n\
+         containers used for EXPERIMENTS.md the sharded path mostly shows its\n\
+         partition and thread hand-off overhead, like E14. Per-group results stay\n\
+         identical to the sequential engine at every shard count.)"
     );
 }
 

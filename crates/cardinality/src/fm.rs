@@ -21,7 +21,6 @@ const PHI: f64 = 0.77351;
 
 /// PCSA: `m` Flajolet–Martin bitmaps with stochastic averaging.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Pcsa {
     /// One 64-bit bitmap per stochastic-averaging bucket.
     bitmaps: Vec<u64>,

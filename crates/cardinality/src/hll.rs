@@ -37,7 +37,6 @@ pub fn alpha(m: usize) -> f64 {
 
 /// A HyperLogLog sketch with `2^p` 8-bit registers.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HyperLogLog {
     registers: Vec<u8>,
     precision: u32,

@@ -17,7 +17,6 @@ use std::hash::Hash;
 
 /// A Linear Counting sketch over `m` bits.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinearCounter {
     bits: BitVec,
     seed: u64,

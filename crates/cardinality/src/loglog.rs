@@ -21,7 +21,6 @@ const ALPHA_LOGLOG: f64 = 0.39701;
 
 /// A LogLog cardinality sketch with `2^p` registers.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LogLog {
     registers: Vec<u8>,
     precision: u32,

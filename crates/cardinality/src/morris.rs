@@ -17,7 +17,6 @@ use sketches_hash::rng::{Rng64, SplitMix64};
 
 /// A Morris approximate counter with base parameter `a`.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MorrisCounter {
     /// Base parameter: larger is more accurate but needs more bits.
     a: f64,

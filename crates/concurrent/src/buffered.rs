@@ -379,7 +379,7 @@ mod tests {
     fn zero_buffer_size_is_a_typed_error() {
         // Regression: `new(sketch, 0)` used to silently clamp to 1; it must
         // reject with the same typed error family as ShardedEngine's
-        // `channel_depth == 0` validation.
+        // `num_shards == 0` validation.
         let hll = HyperLogLog::new(10, 1).unwrap();
         let err = BufferedConcurrent::new(hll, 0).unwrap_err();
         assert!(

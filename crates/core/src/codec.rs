@@ -1,8 +1,8 @@
 //! Bounds-checked little-endian binary codec for checkpoint state.
 //!
-//! Sketch crates hand-roll their serialization on top of these two types
-//! (the workspace's `serde` is an offline shim without derive macros, so
-//! the formats are explicit byte layouts instead). The design contract is
+//! Sketch crates hand-roll their serialization on top of these two types:
+//! the formats are explicit, checksummable byte layouts rather than a
+//! derive's. The design contract is
 //! the one the fault-tolerance layer depends on:
 //!
 //! * **Writing is infallible** — [`ByteWriter`] appends fixed-width

@@ -29,7 +29,6 @@ fn row_seed(seed: u64, row: usize) -> u64 {
 
 /// A Count-Min sketch with `depth` rows of `width` counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CountMinSketch {
     counters: Vec<u64>,
     width: usize,
@@ -241,7 +240,6 @@ impl MergeSketch for CountMinSketch {
 /// Level `l` sketches the prefixes `x >> l`; a range decomposes into at most
 /// `2·domain_bits` dyadic intervals, each answered by one sketch.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CmRangeSketch {
     levels: Vec<CountMinSketch>,
     domain_bits: u32,

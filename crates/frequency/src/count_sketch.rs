@@ -17,7 +17,6 @@ use sketches_hash::rng::SplitMix64;
 
 /// A Count sketch with `depth` rows of `width` signed counters.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CountSketch {
     counters: Vec<i64>,
     width: usize,

@@ -10,7 +10,6 @@ use sketches_core::{Clear, MergeSketch, SketchResult, SpaceUsage, Update};
 
 /// The Boyer–Moore majority-vote state: one candidate, one counter.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BoyerMoore<T> {
     candidate: Option<T>,
     count: u64,

@@ -66,7 +66,6 @@ fn row_seed(seed: u64, row: usize) -> u64 {
 /// like Count-Min — but the counters were capped by fat-side estimates on
 /// the way in, so at equal size the slim side is tighter.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SlimSketch {
     counters: Vec<u64>,
     width: usize,
@@ -202,7 +201,6 @@ impl Clear for SlimSketch {
 /// query side it maintains incrementally. See the module docs for the
 /// update/delete rules and the scope of the one-sided guarantee.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SfSketch {
     fat: Vec<u64>,
     fat_width: usize,

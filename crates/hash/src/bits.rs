@@ -53,7 +53,6 @@ pub fn is_pow2(n: usize) -> bool {
 /// A compact, growable bit vector used by Bloom filters and related
 /// structures.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BitVec {
     words: Vec<u64>,
     len: usize,

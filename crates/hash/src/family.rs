@@ -47,7 +47,6 @@ pub fn mul_mod(a: u64, b: u64) -> u64 {
 /// odd `a`, which is 2-universal on `d`-bit outputs and compiles to a couple
 /// of instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PairwiseHash {
     a: u64,
     b: u64,
@@ -92,7 +91,6 @@ impl PairwiseHash {
 /// `hash(x)` returns a value in `[0, 2^61 - 1)`; [`KWiseHash::hash_range`]
 /// maps it onto `[0, n)` and [`KWiseHash::hash_unit`] onto `[0, 1)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KWiseHash {
     /// Coefficients, constant term last (Horner order: highest degree first).
     coeffs: Vec<u64>,
@@ -157,7 +155,6 @@ impl KWiseHash {
 
 /// A 4-wise independent ±1 sign hash, as required by AMS and Count-Sketch.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SignHash {
     inner: KWiseHash,
 }

@@ -100,7 +100,6 @@ pub trait Rng64 {
 /// Primarily used to seed other generators and to derive per-row randomness
 /// inside sketches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SplitMix64 {
     state: u64,
 }
@@ -143,7 +142,6 @@ impl Rng64 for SplitMix64 {
 /// 256-bit state, period 2^256 − 1, excellent statistical quality. Used for
 /// workload generation where long non-overlapping streams matter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Xoshiro256PlusPlus {
     s: [u64; 4],
 }

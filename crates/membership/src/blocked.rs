@@ -22,7 +22,6 @@ const WORDS_PER_BLOCK: usize = 8;
 
 /// A cache-line-blocked Bloom filter.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockedBloomFilter {
     words: Vec<u64>,
     blocks: usize,

@@ -24,7 +24,6 @@ fn optimal_params(n: usize, fpp: f64) -> (usize, u32) {
 
 /// The classic `k`-hash Bloom filter over a single bit array.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BloomFilter {
     bits: BitVec,
     k: u32,
@@ -159,7 +158,6 @@ impl MergeSketch for BloomFilter {
 /// A partitioned Bloom filter: the bit array is split into `k` equal
 /// partitions and each hash function sets one bit in its own partition.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PartitionedBloomFilter {
     bits: BitVec,
     k: u32,

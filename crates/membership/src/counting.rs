@@ -18,7 +18,6 @@ use crate::util::double_hash;
 
 /// A counting Bloom filter with 8-bit saturating counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CountingBloomFilter {
     counters: Vec<u8>,
     k: u32,

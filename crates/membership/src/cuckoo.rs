@@ -21,7 +21,6 @@ const MAX_KICKS: usize = 500;
 
 /// A cuckoo filter with 16-bit fingerprints and 4-slot buckets.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CuckooFilter {
     /// Flattened buckets; 0 encodes an empty slot.
     slots: Vec<u16>,

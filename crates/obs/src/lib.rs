@@ -52,7 +52,7 @@ mod trace;
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use metrics::{Counter, Gauge, LatencyHistogram, Span, OBS_KLL_K, OBS_KLL_SEED};
 pub use registry::{Event, Registry, EVENT_CAP};
-pub use snapshot::{HistogramSnapshot, MetricsSnapshot};
+pub use snapshot::{json_string, HistogramSnapshot, MetricsSnapshot};
 pub use trace::{
     IdGen, Sampler, Sampling, SpanId, Stage, Trace, TraceContext, TraceId, TraceSink, TraceSpan,
 };

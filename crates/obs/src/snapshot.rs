@@ -255,8 +255,8 @@ impl MetricsSnapshot {
         out
     }
 
-    /// A single-line JSON object (hand-rolled: the offline serde shim has
-    /// no derive), with histogram quantiles in nanoseconds.
+    /// A single-line JSON object (hand-rolled: the workspace builds
+    /// offline with no JSON crate), with histogram quantiles in nanoseconds.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
@@ -308,8 +308,10 @@ fn push_u64_map(out: &mut String, map: &BTreeMap<String, u64>) {
     }
 }
 
-/// JSON-escapes and quotes a string.
-pub(crate) fn json_string(s: &str) -> String {
+/// JSON-escapes and quotes a string (the workspace's one escaper: the
+/// serving layer's JSON writer uses it too).
+#[must_use]
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

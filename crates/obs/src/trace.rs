@@ -277,9 +277,9 @@ impl Trace {
         self.spans[1..].iter().map(TraceSpan::duration_nanos).sum()
     }
 
-    /// Renders the trace as one JSON object (hand-rolled; the offline
-    /// serde shim has no derive). Keys and span order are deterministic,
-    /// so a fixed clock + seed yields byte-identical output.
+    /// Renders the trace as one JSON object (hand-rolled, like
+    /// [`crate::MetricsSnapshot::to_json`]). Keys and span order are
+    /// deterministic, so a fixed clock + seed yields byte-identical output.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = format!("{{\"trace_id\":\"{}\",", self.trace_id);

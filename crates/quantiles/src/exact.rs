@@ -7,7 +7,6 @@ use sketches_core::{
 
 /// An exact quantile "summary" that simply stores everything.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExactQuantiles {
     values: Vec<f64>,
     sorted: bool,

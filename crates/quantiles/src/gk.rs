@@ -17,7 +17,6 @@ use sketches_core::{
 
 /// One GK tuple.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct Tuple {
     v: f64,
     g: u64,
@@ -26,7 +25,6 @@ struct Tuple {
 
 /// A Greenwald–Khanna ε-approximate quantile summary.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GreenwaldKhanna {
     epsilon: f64,
     tuples: Vec<Tuple>,

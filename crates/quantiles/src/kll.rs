@@ -19,7 +19,6 @@ const C: f64 = 2.0 / 3.0;
 
 /// A KLL sketch over `f64` values.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KllSketch {
     /// `compactors[l]` holds items of weight `2^l`.
     compactors: Vec<Vec<f64>>,

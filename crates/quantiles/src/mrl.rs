@@ -14,7 +14,6 @@ use sketches_core::{
 
 /// An MRL quantile sketch with buffer size `b`.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MrlSketch {
     /// At most one full (sorted) buffer per level; level `l` elements weigh
     /// `2^l`.

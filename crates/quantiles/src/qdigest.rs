@@ -14,7 +14,6 @@ use sketches_core::{Clear, MergeSketch, SketchError, SketchResult, SpaceUsage};
 
 /// A q-digest over the integer domain `[0, 2^bits)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QDigest {
     /// Heap-numbered node id → count. Root is 1; the leaf for value `v` is
     /// `2^bits + v`.

@@ -14,7 +14,6 @@ use sketches_core::{
 
 /// One centroid: a weighted mean.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Centroid {
     /// Mean of the points merged into this centroid.
     pub mean: f64,
@@ -30,7 +29,6 @@ fn k_scale(q: f64, delta: f64) -> f64 {
 
 /// A merging t-digest with compression parameter `δ`.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TDigest {
     centroids: Vec<Centroid>,
     buffer: Vec<f64>,

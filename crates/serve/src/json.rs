@@ -1,6 +1,6 @@
 //! A minimal JSON value model, parser, and writer.
 //!
-//! The offline serde shim has no derive support, so the serving layer
+//! The workspace builds offline with no JSON crate, so the serving layer
 //! carries its own hand-rolled JSON — small, strict, and typed: integers
 //! stay integers ([`Json::U64`]/[`Json::I64`]) so group keys round-trip
 //! exactly into the engine's [`Value`] model; only decimals and
@@ -198,27 +198,9 @@ pub fn render_f64(v: f64) -> String {
     }
 }
 
-/// JSON-escapes and quotes a string.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// JSON-escapes and quotes a string — the workspace's one escaper, shared
+/// with the metrics and trace renderers in `sketches-obs`.
+pub use sketches_obs::json_string as escape;
 
 /// Nesting depth cap: requests are flat (`rows` of scalars), so a deep
 /// document is hostile input, not a use case.

@@ -10,32 +10,33 @@
 //! * **Long-lived shard workers.** N worker threads, each *owning* a
 //!   complete [`SketchEngine`] shard for the engine's whole lifetime
 //!   (not scoped per batch). A coordinator thread serializes mutating
-//!   commands and feeds row indices to workers over bounded channels —
-//!   the same routing, supervision, and undo-log machinery as
-//!   [`ShardedEngine`], so per-group results stay *identical* to the
-//!   sequential engine.
+//!   commands and runs the batch protocol it shares with
+//!   [`ShardedEngine`] — the same prevalidation, partition into per-shard
+//!   row-index lists, supervised ingest, and commit-or-roll-back-all — so
+//!   per-group results stay *identical* to the sequential engine. Only
+//!   "hand each worker its list" and "tell every worker to commit or roll
+//!   back" are written here.
 //! * **Submit/poll ingest.** [`ConcurrentEngine::submit_batch`] takes
 //!   `&self`, enqueues the batch, and returns a [`BatchTicket`];
 //!   [`BatchTicket::poll`] / [`BatchTicket::wait`] resolve it to the same
 //!   [`BatchSummary`] / [`BatchError`] the synchronous engines report,
 //!   with batch-level rollback and quarantine semantics preserved.
-//! * **Published snapshots with epochs.** After every committed batch
-//!   (and every flush/merge) a worker publishes an immutable
-//!   `Arc<SketchEngine>` snapshot of its shard into a shared slot and
-//!   bumps the shard's epoch counter. Reads —
-//!   [`report`](ConcurrentEngine::report),
-//!   [`groups`](ConcurrentEngine::groups), metrics, snapshots — clone the
-//!   latest published `Arc` (a pointer copy under a lock held only for
-//!   the swap/clone instant) and never touch worker state, so queries
-//!   are never blocked behind ingest work and ingest never waits for
-//!   readers.
-//! * **Published slim views.** Each publish also cuts the shard's
-//!   [`EngineView`] — the read half of the read/write split — into its
-//!   own slot. [`ConcurrentEngine::query_view`] /
-//!   [`ReadHandle::query_view`] union the per-shard views (exact: every
-//!   group lives in one shard), so a serving tier can ship the slim
-//!   query side over the wire instead of fat snapshot bytes, at the same
-//!   epoch granularity as the fat publication.
+//! * **One published snapshot per shard, with epochs.** After every
+//!   committed batch (and every flush/merge) a worker publishes an
+//!   immutable `Arc<SketchEngine>` snapshot of its shard into a shared
+//!   slot and bumps the shard's epoch counter — the one O(state)
+//!   operation of a commit, and the only object writer and readers share.
+//!   Every read goes through a [`ReadHandle`] (the engine owns one and
+//!   delegates): it clones the latest published `Arc`s (a pointer copy
+//!   under a lock held only for the swap/clone instant) and never touches
+//!   worker state, so queries are never blocked behind ingest work and
+//!   ingest never waits for readers.
+//! * **Slim views cut on demand.** [`ReadHandle::query_view`] cuts the
+//!   [`EngineView`] — the read half of the read/write split — from those
+//!   same published snapshots when asked, after taking the `Arc`s out of
+//!   their slots, and unions the per-shard cuts (exact: every group lives
+//!   in one shard). A view read pays for its own cut; a commit pays
+//!   nothing for views nobody fetches.
 //!
 //! # Consistency model
 //!
@@ -71,14 +72,16 @@ use sketches_obs::{Clock, MetricsSnapshot, Stage, TraceContext};
 
 use crate::engine::{EngineConfig, SketchEngine};
 use crate::fault::{
-    BatchCause, BatchError, BatchSummary, DeadLetters, FaultInjector, FaultPolicy, QuarantinedRow,
+    BatchCause, BatchError, BatchSummary, DeadLetters, FaultInjector, FaultPolicy,
     INJECTED_PANIC_MARKER,
 };
-use crate::metrics::{names, EngineMetrics};
+use crate::metrics::names;
 use crate::query::{AggregateResult, QuerySpec};
-use crate::sharded::{worker_ingest, ShardedEngine, WorkerOutcome, DEFAULT_CHANNEL_DEPTH};
+use crate::router::{self, worker_ingest, Partition, Router, WorkerOutcome};
+use crate::sharded::{fresh_shards, ShardedEngine};
+use crate::snapshot::{self, SnapshotKind};
 use crate::value::{Row, Value};
-use crate::view::EngineView;
+use crate::view::{merged_view, EngineView};
 
 /// Capacity of the submit queue, in batches. Submitting beyond it blocks
 /// the caller (backpressure), which also bounds read lag: at most this
@@ -124,14 +127,11 @@ struct Shared {
     /// for an `Arc` swap, the read lock only for an `Arc` clone, so
     /// readers and publishers exchange a pointer, never sketch work.
     published: Vec<RwLock<Arc<SketchEngine>>>,
-    /// Latest published slim view per shard, cut at the same instant as
-    /// the fat snapshot above — the read half of the read/write split,
-    /// what [`ConcurrentEngine::query_view`] unions.
-    views: Vec<RwLock<Arc<EngineView>>>,
     /// Publish epoch per shard: bumped after each snapshot swap.
     epochs: Vec<AtomicU64>,
-    /// Latest published router state (dead letters, metrics, policy).
-    router: RwLock<RouterPublished>,
+    /// Latest published copy of the coordinator's [`Router`] (dead
+    /// letters, metrics, policy), refreshed after every job.
+    router: RwLock<Router>,
     /// Rows handed to `submit_batch` so far.
     rows_submitted: AtomicU64,
     /// Rows whose batch has resolved (committed *or* rolled back).
@@ -142,14 +142,6 @@ struct Shared {
     snapshots_published: AtomicU64,
     /// Set when a worker or the coordinator thread dies.
     poisoned: AtomicBool,
-}
-
-/// The router-level state snapshot published after every job.
-#[derive(Debug, Clone)]
-struct RouterPublished {
-    dead: DeadLetters,
-    metrics: EngineMetrics,
-    policy: FaultPolicy,
 }
 
 /// Jobs the engine handle sends to the coordinator thread. One bounded
@@ -173,7 +165,7 @@ enum Job {
     MergeFrom {
         // Boxed: the inline dead-letter + metrics payload would dominate
         // the Job enum's size, bloating every queued ingest.
-        state: Box<(Vec<SketchEngine>, DeadLetters, EngineMetrics)>,
+        state: Box<(Vec<Arc<SketchEngine>>, Router)>,
         done: channel::Sender<SketchResult<()>>,
     },
     SetPolicy {
@@ -206,7 +198,8 @@ enum Job {
 enum Cmd {
     Ingest {
         rows: Arc<Vec<Row>>,
-        indices: channel::Receiver<usize>,
+        /// This shard's rows of the batch, by index, in batch order.
+        indices: Vec<usize>,
         outcome: channel::Sender<(usize, WorkerOutcome)>,
     },
     Commit {
@@ -219,7 +212,7 @@ enum Cmd {
         done: channel::Sender<SketchResult<WindowRows>>,
     },
     Merge {
-        other: Box<SketchEngine>,
+        other: Arc<SketchEngine>,
         done: channel::Sender<SketchResult<()>>,
     },
     SetPolicy {
@@ -339,84 +332,49 @@ impl BatchTicket {
 #[derive(Debug)]
 pub struct ConcurrentEngine {
     submit_tx: channel::Sender<Job>,
-    shared: Arc<Shared>,
+    /// The read side: every read accessor below delegates to it.
+    reads: ReadHandle,
     coordinator: Option<std::thread::JoinHandle<()>>,
-    spec: QuerySpec,
-    config: EngineConfig,
-    channel_depth: usize,
-    num_shards: usize,
 }
 
 impl ConcurrentEngine {
-    /// Creates a concurrent engine with default sketch parameters and
-    /// channel depth.
+    /// Creates a concurrent engine with default sketch parameters.
     ///
     /// # Errors
     /// Returns an error if `num_shards == 0` or the spec/config produce
     /// invalid sketches.
     pub fn new(spec: QuerySpec, num_shards: usize) -> SketchResult<Self> {
-        Self::with_config(
-            spec,
-            EngineConfig::default(),
-            num_shards,
-            DEFAULT_CHANNEL_DEPTH,
-        )
+        Self::with_config(spec, EngineConfig::default(), num_shards)
     }
 
-    /// Creates a concurrent engine with explicit sketch parameters and
-    /// router→worker channel capacity (the same knobs as
-    /// [`ShardedEngine::with_config`], so the two topologies are
-    /// interchangeable).
+    /// Creates a concurrent engine with explicit sketch parameters (the
+    /// same knobs as [`ShardedEngine::with_config`], so the two
+    /// topologies are interchangeable).
     ///
     /// # Errors
-    /// Returns an error if `num_shards == 0`, `channel_depth == 0`, or
-    /// the spec/config produce invalid sketches.
+    /// Returns an error if `num_shards == 0` or the spec/config produce
+    /// invalid sketches.
     pub fn with_config(
         spec: QuerySpec,
         config: EngineConfig,
         num_shards: usize,
-        channel_depth: usize,
     ) -> SketchResult<Self> {
-        if num_shards == 0 {
-            return Err(SketchError::invalid(
-                "num_shards",
-                "need at least one shard",
-            ));
-        }
-        if channel_depth == 0 {
-            return Err(SketchError::invalid("channel_depth", "need capacity >= 1"));
-        }
-        let shards = (0..num_shards)
-            .map(|_| SketchEngine::with_config(spec.clone(), config))
-            .collect::<SketchResult<Vec<_>>>()?;
-        Ok(Self::from_parts(shards, spec, config, channel_depth))
+        Ok(Self::from_shards(fresh_shards(&spec, config, num_shards)?))
     }
 
-    /// Assembles the engine around pre-built shards (fresh construction
-    /// and snapshot restore share this path): publishes epoch-0
-    /// snapshots, spawns the workers, then the coordinator.
-    fn from_parts(
-        shards: Vec<SketchEngine>,
-        spec: QuerySpec,
-        config: EngineConfig,
-        channel_depth: usize,
-    ) -> Self {
-        let num_shards = shards.len();
+    /// Assembles the engine around pre-built shards sharing one spec and
+    /// config (fresh construction and snapshot restore share this path):
+    /// publishes epoch-0 snapshots, spawns the workers, then the
+    /// coordinator.
+    fn from_shards(shards: Vec<SketchEngine>) -> Self {
+        let router = Router::new(shards[0].spec.clone());
         let shared = Arc::new(Shared {
             published: shards
                 .iter()
                 .map(|s| RwLock::new(Arc::new(s.clone())))
                 .collect(),
-            views: shards
-                .iter()
-                .map(|s| RwLock::new(Arc::new(s.query_view())))
-                .collect(),
-            epochs: (0..num_shards).map(|_| AtomicU64::new(0)).collect(),
-            router: RwLock::new(RouterPublished {
-                dead: DeadLetters::default(),
-                metrics: EngineMetrics::new(),
-                policy: FaultPolicy::default(),
-            }),
+            epochs: shards.iter().map(|_| AtomicU64::new(0)).collect(),
+            router: RwLock::new(router.clone()),
             rows_submitted: AtomicU64::new(0),
             rows_resolved: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
@@ -424,8 +382,8 @@ impl ConcurrentEngine {
             poisoned: AtomicBool::new(false),
         });
 
-        let mut worker_txs = Vec::with_capacity(num_shards);
-        let mut worker_handles = Vec::with_capacity(num_shards);
+        let mut worker_txs = Vec::with_capacity(shards.len());
+        let mut worker_handles = Vec::with_capacity(shards.len());
         for (shard_id, shard) in shards.into_iter().enumerate() {
             let (cmd_tx, cmd_rx) = channel::bounded::<Cmd>(WORKER_CMD_DEPTH);
             worker_txs.push(cmd_tx);
@@ -444,16 +402,11 @@ impl ConcurrentEngine {
 
         let (submit_tx, submit_rx) = channel::bounded::<Job>(SUBMIT_QUEUE_DEPTH);
         let coordinator_shared = Arc::clone(&shared);
-        let coordinator_spec = spec.clone();
         let coordinator = std::thread::spawn(move || {
             let mut coordinator = Coordinator {
-                spec: coordinator_spec,
-                channel_depth,
+                router,
                 worker_txs,
                 worker_handles,
-                fault_policy: FaultPolicy::default(),
-                router_dead: DeadLetters::default(),
-                router_metrics: EngineMetrics::new(),
                 shared: Arc::clone(&coordinator_shared),
             };
             // lint: panic-boundary(coordinator supervisor: a dying coordinator must poison the engine, not abort the process)
@@ -465,12 +418,8 @@ impl ConcurrentEngine {
 
         Self {
             submit_tx,
-            shared,
+            reads: ReadHandle { shared },
             coordinator: Some(coordinator),
-            spec,
-            config,
-            channel_depth,
-            num_shards,
         }
     }
 
@@ -492,11 +441,12 @@ impl ConcurrentEngine {
     /// the request's root, and records the same durations into the
     /// `stage_latency{stage=...}` histograms.
     pub fn submit_batch_traced(&self, rows: Vec<Row>, ctx: TraceContext) -> BatchTicket {
+        let shared = &self.reads.shared;
         let n = rows.len() as u64;
         // One clock read on the submit path, and only when someone will
         // consume it: the queue-wait stage needs the submit timestamp.
         let submitted_at = {
-            let router = self.shared.router.read();
+            let router = shared.router.read();
             if router.metrics.enabled || ctx.is_sampled() {
                 Some(router.metrics.clock.now_nanos())
             } else {
@@ -504,8 +454,8 @@ impl ConcurrentEngine {
             }
         };
         let (done_tx, done_rx) = channel::bounded(1);
-        self.shared.rows_submitted.fetch_add(n, Ordering::Relaxed);
-        self.shared.queue_depth.fetch_add(1, Ordering::Relaxed);
+        shared.rows_submitted.fetch_add(n, Ordering::Relaxed);
+        shared.queue_depth.fetch_add(1, Ordering::Relaxed);
         if let Err(channel::SendError(job)) = self.submit_tx.send(Job::Ingest {
             rows,
             ctx,
@@ -514,8 +464,8 @@ impl ConcurrentEngine {
         }) {
             // Coordinator is gone: resolve the ticket immediately with the
             // poisoned error and undo the submission accounting.
-            self.shared.rows_resolved.fetch_add(n, Ordering::Relaxed);
-            self.shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
+            shared.rows_resolved.fetch_add(n, Ordering::Relaxed);
+            shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
             if let Job::Ingest { done, .. } = job {
                 let _ = done.send(Err(poisoned_batch_error()));
             }
@@ -523,7 +473,7 @@ impl ConcurrentEngine {
         BatchTicket {
             rx: done_rx,
             resolved: None,
-            shared: Arc::clone(&self.shared),
+            shared: Arc::clone(shared),
         }
     }
 
@@ -532,7 +482,7 @@ impl ConcurrentEngine {
     /// resolves to a typed error.
     #[must_use]
     pub fn is_poisoned(&self) -> bool {
-        self.shared.poisoned.load(Ordering::Acquire)
+        self.reads.is_poisoned()
     }
 
     /// A detached read handle over the published snapshots: the same
@@ -542,13 +492,7 @@ impl ConcurrentEngine {
     /// last published epoch. This is the serving layer's read path.
     #[must_use]
     pub fn reader(&self) -> ReadHandle {
-        ReadHandle {
-            shared: Arc::clone(&self.shared),
-            spec: self.spec.clone(),
-            config: self.config,
-            channel_depth: self.channel_depth,
-            num_shards: self.num_shards,
-        }
+        self.reads.clone()
     }
 
     /// Drill hook: kills the coordinator thread with an injected panic
@@ -562,24 +506,11 @@ impl ConcurrentEngine {
         let _ = self.submit_tx.send(Job::Crash);
     }
 
-    /// The latest published snapshot of one shard (an `Arc` clone; the
-    /// slot lock is held only for the clone).
-    fn published_shard(&self, shard: usize) -> Arc<SketchEngine> {
-        Arc::clone(&self.shared.published[shard].read())
-    }
-
-    fn shard_of_key(&self, key: &[Value]) -> usize {
-        (ShardedEngine::key_hash(key.iter()) % self.num_shards as u64) as usize
-    }
-
-    /// The slim query-side view of the latest published epoch — the
-    /// per-shard published [`EngineView`]s unioned (exact; see the module
-    /// docs). Never blocked by in-flight ingest, and a fraction of the
-    /// size of [`to_snapshot_bytes`](Self::to_snapshot_bytes): this is
-    /// what a serving tier should ship.
+    /// The slim query-side view of the latest published epoch, cut on
+    /// demand — see [`ReadHandle::query_view`].
     #[must_use]
     pub fn query_view(&self) -> EngineView {
-        merged_view(&self.shared, self.num_shards)
+        self.reads.query_view()
     }
 
     /// Reports the aggregates of one group from the latest published
@@ -589,60 +520,44 @@ impl ConcurrentEngine {
     /// # Errors
     /// Returns an error only for internal sketch query failures.
     pub fn report(&self, key: &[Value]) -> SketchResult<Option<Vec<AggregateResult>>> {
-        self.published_shard(self.shard_of_key(key)).report(key)
+        self.reads.report(key)
     }
 
     /// All group keys in the latest published epoch, in ascending key
     /// order across all shards (the unified listing contract).
     #[must_use]
     pub fn groups(&self) -> Vec<Vec<Value>> {
-        // lint: sorted-iteration-ok(per-shard listings collected then fully sorted by the key total order below)
-        let mut keys: Vec<Vec<Value>> = (0..self.num_shards)
-            .flat_map(|i| {
-                self.published_shard(i)
-                    .groups()
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        keys.sort();
-        keys
+        self.reads.groups()
     }
 
     /// Groups tracked in the latest published epoch.
     #[must_use]
     pub fn num_groups(&self) -> usize {
-        (0..self.num_shards)
-            .map(|i| self.published_shard(i).num_groups())
-            .sum()
+        self.reads.num_groups()
     }
 
     /// Rows committed into the latest published epoch.
     #[must_use]
     pub fn rows_processed(&self) -> u64 {
-        (0..self.num_shards)
-            .map(|i| self.published_shard(i).rows_processed())
-            .sum()
+        self.reads.rows_processed()
     }
 
     /// Sketch memory across the latest published epoch, in bytes.
     #[must_use]
     pub fn state_bytes(&self) -> usize {
-        (0..self.num_shards)
-            .map(|i| self.published_shard(i).state_bytes())
-            .sum()
+        self.reads.state_bytes()
     }
 
     /// Number of shards (fixed for the engine's lifetime).
     #[must_use]
     pub fn num_shards(&self) -> usize {
-        self.num_shards
+        self.reads.num_shards()
     }
 
     /// The poison-row policy of the latest published epoch.
     #[must_use]
     pub fn fault_policy(&self) -> FaultPolicy {
-        self.shared.router.read().policy
+        self.reads.fault_policy()
     }
 
     /// Sets the poison-row policy, blocking until the coordinator has
@@ -666,11 +581,7 @@ impl ConcurrentEngine {
     /// quarantine plus every shard's, samples stamped with their shard.
     #[must_use]
     pub fn dead_letters(&self) -> DeadLetters {
-        let mut all = self.shared.router.read().dead.clone();
-        for i in 0..self.num_shards {
-            all.absorb(&self.published_shard(i).dead_letters(), Some(i));
-        }
-        all
+        self.reads.dead_letters()
     }
 
     /// Arms a deterministic fault injector on one shard worker (recovery
@@ -773,18 +684,15 @@ impl ConcurrentEngine {
     /// Returns an error if shard counts or specs/configs differ, or if
     /// either engine is poisoned.
     pub fn merge(&mut self, other: &Self) -> SketchResult<()> {
-        if self.num_shards != other.num_shards {
+        if self.num_shards() != other.num_shards() {
             return Err(SketchError::incompatible("shard counts differ"));
         }
-        let shards: Vec<SketchEngine> = (0..other.num_shards)
-            .map(|i| (*other.published_shard(i)).clone())
-            .collect();
-        let router = other.shared.router.read().clone();
+        let router = other.reads.shared.router.read().clone();
         let (done_tx, done_rx) = channel::bounded(1);
         if self
             .submit_tx
             .send(Job::MergeFrom {
-                state: Box::new((shards, router.dead, router.metrics)),
+                state: Box::new((other.reads.published(), router)),
                 done: done_tx,
             })
             .is_err()
@@ -803,32 +711,7 @@ impl ConcurrentEngine {
     /// counter.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        let router = self.shared.router.read().clone();
-        let mut snap = router.metrics.snapshot();
-        for i in 0..self.num_shards {
-            let shard = self.published_shard(i);
-            snap.merge(&shard.metrics())
-                // lint: panic-ok(every obs histogram shares one fixed (k, seed), so snapshot merge cannot fail)
-                .expect("obs snapshots share one KLL shape");
-            snap.add_gauge(&names::shard_rows_routed(i), shard.rows_processed());
-            snap.add_gauge(
-                &names::publish_epoch(i),
-                self.shared.epochs[i].load(Ordering::Acquire),
-            );
-        }
-        snap.add_gauge(names::SHARDS, self.num_shards as u64);
-        snap.add_gauge(
-            names::SUBMIT_QUEUE_DEPTH,
-            self.shared.queue_depth.load(Ordering::Relaxed),
-        );
-        let submitted = self.shared.rows_submitted.load(Ordering::Relaxed);
-        let resolved = self.shared.rows_resolved.load(Ordering::Relaxed);
-        snap.add_gauge(names::PUBLISH_LAG_ROWS, submitted.saturating_sub(resolved));
-        snap.add_counter(
-            names::SNAPSHOTS_PUBLISHED,
-            self.shared.snapshots_published.load(Ordering::Relaxed),
-        );
-        snap
+        self.reads.metrics()
     }
 
     /// Serializes the latest published epoch as a checksummed snapshot —
@@ -836,16 +719,7 @@ impl ConcurrentEngine {
     /// same shards, so state moves freely between the two topologies.
     #[must_use]
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let shards: Vec<SketchEngine> = (0..self.num_shards)
-            .map(|i| (*self.published_shard(i)).clone())
-            .collect();
-        ShardedEngine::from_restored_shards(
-            shards,
-            self.spec.clone(),
-            self.config,
-            self.channel_depth,
-        )
-        .to_snapshot_bytes()
+        self.reads.to_snapshot_bytes()
     }
 
     /// Restores a concurrent engine from a sharded-kind snapshot
@@ -856,41 +730,43 @@ impl ConcurrentEngine {
     /// Returns [`SketchError::Corrupted`] on any damage or if the bytes
     /// hold a sequential-engine snapshot.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> SketchResult<Self> {
-        let restored = ShardedEngine::from_snapshot_bytes(bytes)?;
-        let ShardedEngine {
-            shards,
-            spec,
-            config,
-            channel_depth,
-            ..
-        } = restored;
-        Ok(Self::from_parts(shards, spec, config, channel_depth))
+        Ok(Self::from_shards(
+            ShardedEngine::from_snapshot_bytes(bytes)?.shards,
+        ))
     }
 }
 
 /// A cloneable, thread-safe read-only view of a [`ConcurrentEngine`]'s
-/// published snapshots — the serving layer's read path.
+/// published snapshots — the engine's whole read side, and the serving
+/// layer's read path.
 ///
 /// The handle holds only the shared publish slots, so it stays valid
 /// through engine poisoning *and past engine drop*: a server can keep
 /// answering queries from the last published epoch while the write path
 /// is being recovered or torn down (graceful degradation to read-only).
-/// All methods mirror the engine's read API and are never blocked by
-/// ingest — each one clones an `Arc` under a lock held only for the
-/// pointer copy.
+/// No method is ever blocked by ingest — each one first clones the `Arc`s
+/// it needs out of their slots, under a lock held only for the pointer
+/// copy, and then reads the immutable shards with the accessors the
+/// sharded engine uses on its own.
 #[derive(Debug, Clone)]
 pub struct ReadHandle {
     shared: Arc<Shared>,
-    spec: QuerySpec,
-    config: EngineConfig,
-    channel_depth: usize,
-    num_shards: usize,
 }
 
 impl ReadHandle {
-    /// The latest published snapshot of one shard (an `Arc` clone).
+    /// The latest published snapshot of one shard (an `Arc` clone; the
+    /// slot lock is held only for the clone).
     fn published_shard(&self, shard: usize) -> Arc<SketchEngine> {
         Arc::clone(&self.shared.published[shard].read())
+    }
+
+    /// The latest published snapshot of every shard, each taken out of
+    /// its slot in its own statement — whatever the caller computes over
+    /// them runs under no lock.
+    fn published(&self) -> Vec<Arc<SketchEngine>> {
+        (0..self.num_shards())
+            .map(|i| self.published_shard(i))
+            .collect()
     }
 
     /// Whether the engine behind this handle has been poisoned (a worker
@@ -907,64 +783,69 @@ impl ReadHandle {
     /// # Errors
     /// Returns an error only for internal sketch query failures.
     pub fn report(&self, key: &[Value]) -> SketchResult<Option<Vec<AggregateResult>>> {
-        let shard = (ShardedEngine::key_hash(key.iter()) % self.num_shards as u64) as usize;
-        self.published_shard(shard).report(key)
+        self.published_shard(router::shard_of(key, self.num_shards()))
+            .report(key)
     }
 
-    /// The slim query-side view of the latest published epoch, same as
-    /// [`ConcurrentEngine::query_view`] — available even after the engine
-    /// is poisoned or dropped (it keeps serving the last published
-    /// views).
+    /// The slim query-side view of the latest published epoch: every
+    /// shard's [`EngineView`] cut from its published snapshot and unioned
+    /// (exact; see the module docs). Never blocked by in-flight ingest,
+    /// available even after the engine is poisoned or dropped, and a
+    /// fraction of the size of
+    /// [`to_snapshot_bytes`](Self::to_snapshot_bytes): this is what a
+    /// serving tier should ship. The cut is O(state) and paid by this
+    /// call, not by the commit that published the state.
     #[must_use]
     pub fn query_view(&self) -> EngineView {
-        merged_view(&self.shared, self.num_shards)
+        merged_view(&self.published())
     }
 
     /// All group keys in the latest published epoch, in ascending key
     /// order across all shards.
     #[must_use]
     pub fn groups(&self) -> Vec<Vec<Value>> {
-        // lint: sorted-iteration-ok(per-shard listings collected then fully sorted by the key total order below)
-        let mut keys: Vec<Vec<Value>> = (0..self.num_shards)
-            .flat_map(|i| {
-                self.published_shard(i)
-                    .groups()
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        keys.sort();
-        keys
+        router::groups(&self.published())
+            .into_iter()
+            .cloned()
+            .collect()
     }
 
     /// Groups tracked in the latest published epoch.
     #[must_use]
     pub fn num_groups(&self) -> usize {
-        (0..self.num_shards)
-            .map(|i| self.published_shard(i).num_groups())
-            .sum()
+        router::num_groups(&self.published())
     }
 
     /// Rows committed into the latest published epoch.
     #[must_use]
     pub fn rows_processed(&self) -> u64 {
-        (0..self.num_shards)
-            .map(|i| self.published_shard(i).rows_processed())
-            .sum()
+        router::rows_processed(&self.published())
     }
 
     /// Sketch memory across the latest published epoch, in bytes.
     #[must_use]
     pub fn state_bytes(&self) -> usize {
-        (0..self.num_shards)
-            .map(|i| self.published_shard(i).state_bytes())
-            .sum()
+        router::state_bytes(&self.published())
     }
 
     /// Number of shards behind this handle.
     #[must_use]
     pub fn num_shards(&self) -> usize {
-        self.num_shards
+        self.shared.published.len()
+    }
+
+    /// The poison-row policy of the latest published epoch.
+    #[must_use]
+    pub fn fault_policy(&self) -> FaultPolicy {
+        self.shared.router.read().fault_policy
+    }
+
+    /// Aggregated dead letters of the latest published epoch: router
+    /// quarantine plus every shard's, samples stamped with their shard.
+    #[must_use]
+    pub fn dead_letters(&self) -> DeadLetters {
+        let router_dead = self.shared.router.read().dead.clone();
+        router::dead_letters(router_dead, &self.published())
     }
 
     /// The envelope kind [`to_snapshot_bytes`](Self::to_snapshot_bytes)
@@ -972,57 +853,45 @@ impl ReadHandle {
     /// accessor callers (e.g. `/readyz`) use instead of peeking at
     /// header bytes.
     #[must_use]
-    pub fn snapshot_kind(&self) -> crate::SnapshotKind {
-        crate::SnapshotKind::Sharded
+    pub fn snapshot_kind(&self) -> SnapshotKind {
+        SnapshotKind::Sharded
     }
 
-    /// Telemetry snapshot of the latest published epoch — the same block
-    /// [`ConcurrentEngine::metrics`] cuts, available without the engine.
+    /// Telemetry snapshot of the latest published epoch: what the sharded
+    /// engine reports for the same shards, plus the concurrent-serving
+    /// gauges — `publish_epoch{shard}`, `publish_lag_rows`,
+    /// `submit_queue_depth` — and the `snapshots_published_total`
+    /// counter.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        let router = self.shared.router.read().clone();
-        let mut snap = router.metrics.snapshot();
-        for i in 0..self.num_shards {
-            let shard = self.published_shard(i);
-            snap.merge(&shard.metrics())
-                // lint: panic-ok(every obs histogram shares one fixed (k, seed), so snapshot merge cannot fail)
-                .expect("obs snapshots share one KLL shape");
-            snap.add_gauge(&names::shard_rows_routed(i), shard.rows_processed());
-            snap.add_gauge(
-                &names::publish_epoch(i),
-                self.shared.epochs[i].load(Ordering::Acquire),
-            );
+        let shared = &self.shared;
+        let router_metrics = shared.router.read().metrics.clone();
+        let mut snap = router::metrics(&router_metrics, &self.published());
+        for (i, epoch) in shared.epochs.iter().enumerate() {
+            snap.add_gauge(&names::publish_epoch(i), epoch.load(Ordering::Acquire));
         }
-        snap.add_gauge(names::SHARDS, self.num_shards as u64);
         snap.add_gauge(
             names::SUBMIT_QUEUE_DEPTH,
-            self.shared.queue_depth.load(Ordering::Relaxed),
+            shared.queue_depth.load(Ordering::Relaxed),
         );
-        let submitted = self.shared.rows_submitted.load(Ordering::Relaxed);
-        let resolved = self.shared.rows_resolved.load(Ordering::Relaxed);
+        let submitted = shared.rows_submitted.load(Ordering::Relaxed);
+        let resolved = shared.rows_resolved.load(Ordering::Relaxed);
         snap.add_gauge(names::PUBLISH_LAG_ROWS, submitted.saturating_sub(resolved));
         snap.add_counter(
             names::SNAPSHOTS_PUBLISHED,
-            self.shared.snapshots_published.load(Ordering::Relaxed),
+            shared.snapshots_published.load(Ordering::Relaxed),
         );
         snap
     }
 
     /// Serializes the latest published epoch as a checksummed snapshot,
-    /// byte-identical to [`ConcurrentEngine::to_snapshot_bytes`] on the
-    /// same published state.
+    /// encoded straight from the published shards (no copy of their
+    /// state) and **byte-identical to
+    /// [`ShardedEngine::to_snapshot_bytes`]** on the same shards, so state
+    /// moves freely between the two topologies.
     #[must_use]
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let shards: Vec<SketchEngine> = (0..self.num_shards)
-            .map(|i| (*self.published_shard(i)).clone())
-            .collect();
-        ShardedEngine::from_restored_shards(
-            shards,
-            self.spec.clone(),
-            self.config,
-            self.channel_depth,
-        )
-        .to_snapshot_bytes()
+        snapshot::encode(SnapshotKind::Sharded, &self.published())
     }
 }
 
@@ -1039,28 +908,13 @@ impl Drop for ConcurrentEngine {
     }
 }
 
-/// Publishes one shard's current state as a fresh immutable snapshot,
-/// plus the slim [`EngineView`] cut from the same instant.
+/// Publishes one shard's current state as a fresh immutable snapshot —
+/// the one O(state) operation of a commit.
 fn publish(shared: &Shared, shard_id: usize, shard: &SketchEngine) {
     let snap = Arc::new(shard.clone());
-    let view = Arc::new(shard.query_view());
     *shared.published[shard_id].write() = snap;
-    *shared.views[shard_id].write() = view;
     shared.epochs[shard_id].fetch_add(1, Ordering::Release);
     shared.snapshots_published.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Unions the latest published per-shard views. Exact: routing places
-/// every group in exactly one shard, so no group merges across shards.
-fn merged_view(shared: &Shared, num_shards: usize) -> EngineView {
-    let mut out = (*Arc::clone(&shared.views[0].read())).clone();
-    for slot in &shared.views[1..num_shards] {
-        let v = Arc::clone(&slot.read());
-        out.merge(&v)
-            // lint: panic-ok(every shard view is cut from a shard built with one shared spec, so the merge cannot fail)
-            .expect("shard views share one spec");
-    }
-    out
 }
 
 /// One long-lived shard worker: owns its [`SketchEngine`] for the
@@ -1085,11 +939,6 @@ fn worker_main(
                 outcome,
             } => {
                 let out = worker_ingest(&mut shard, &rows, &indices);
-                // Close the index channel *before* reporting: on failure
-                // the router's next send errors out and it stops feeding
-                // (the scoped version got this by dropping the receiver
-                // on return; long-lived workers must do it explicitly).
-                drop(indices);
                 let _ = outcome.send((shard_id, out));
             }
             Cmd::Commit { ack } => {
@@ -1139,17 +988,38 @@ fn worker_main(
     }
 }
 
+/// Sends one ack-carrying command to every worker and waits for all
+/// acks. Returns `false` (and poisons the engine) if any worker died.
+fn broadcast_ack(
+    worker_txs: &[channel::Sender<Cmd>],
+    shared: &Shared,
+    make: impl Fn(channel::Sender<()>) -> Cmd,
+) -> bool {
+    let num = worker_txs.len();
+    let (ack_tx, ack_rx) = channel::bounded(num);
+    let mut sent = 0usize;
+    for tx in worker_txs {
+        if tx.send(make(ack_tx.clone())).is_ok() {
+            sent += 1;
+        }
+    }
+    drop(ack_tx);
+    let acked = ack_rx.iter().count();
+    let ok = sent == num && acked == num;
+    if !ok {
+        shared.poisoned.store(true, Ordering::Release);
+    }
+    ok
+}
+
 /// The coordinator: drains the submit queue, serializing every mutation
-/// across the worker pool with the same commit-all-or-rollback-all
-/// discipline as [`ShardedEngine::process_batch`].
+/// across the worker pool. It owns the [`Router`] and runs its batch
+/// protocol — the one [`ShardedEngine::process_batch`] runs — over the
+/// workers.
 struct Coordinator {
-    spec: QuerySpec,
-    channel_depth: usize,
+    router: Router,
     worker_txs: Vec<channel::Sender<Cmd>>,
     worker_handles: Vec<std::thread::JoinHandle<()>>,
-    fault_policy: FaultPolicy,
-    router_dead: DeadLetters,
-    router_metrics: EngineMetrics,
     shared: Arc<Shared>,
 }
 
@@ -1171,9 +1041,10 @@ impl Coordinator {
                 } => {
                     let n = rows.len() as u64;
                     if let Some(submitted_at) = submitted_at {
-                        let dequeued = self.router_metrics.clock.now_nanos();
-                        if self.router_metrics.enabled {
-                            self.router_metrics
+                        let dequeued = self.router.metrics.clock.now_nanos();
+                        if self.router.metrics.enabled {
+                            self.router
+                                .metrics
                                 .stage_queue_wait
                                 .record_nanos(dequeued.saturating_sub(submitted_at));
                         }
@@ -1193,17 +1064,17 @@ impl Coordinator {
                     let _ = done.send(result);
                 }
                 Job::MergeFrom { state, done } => {
-                    let (shards, dead, metrics) = *state;
-                    let result = self.handle_merge(shards, &dead, &metrics);
+                    let (shards, router) = *state;
+                    let result = self.handle_merge(shards, &router);
                     self.publish_router();
                     let _ = done.send(result);
                 }
                 Job::SetPolicy { policy, done } => {
-                    self.fault_policy = policy;
-                    if let FaultPolicy::Quarantine { max_samples } = policy {
-                        self.router_dead.set_max_samples(max_samples);
-                    }
-                    self.broadcast_ack(|ack| Cmd::SetPolicy { policy, ack });
+                    self.router.set_fault_policy(policy);
+                    broadcast_ack(&self.worker_txs, &self.shared, |ack| Cmd::SetPolicy {
+                        policy,
+                        ack,
+                    });
                     self.publish_router();
                     let _ = done.send(());
                 }
@@ -1227,14 +1098,16 @@ impl Coordinator {
                     let _ = done.send(out);
                 }
                 Job::SetMetricsEnabled { enabled, done } => {
-                    self.router_metrics.enabled = enabled;
-                    self.broadcast_ack(|ack| Cmd::SetMetricsEnabled { enabled, ack });
+                    self.router.metrics.enabled = enabled;
+                    broadcast_ack(&self.worker_txs, &self.shared, |ack| {
+                        Cmd::SetMetricsEnabled { enabled, ack }
+                    });
                     self.publish_router();
                     let _ = done.send(());
                 }
                 Job::SetClock { clock, done } => {
-                    self.router_metrics.clock = clock.clone();
-                    self.broadcast_ack(|ack| Cmd::SetClock {
+                    self.router.metrics.clock = clock.clone();
+                    broadcast_ack(&self.worker_txs, &self.shared, |ack| Cmd::SetClock {
                         clock: clock.clone(),
                         ack,
                     });
@@ -1259,31 +1132,39 @@ impl Coordinator {
     /// Publishes the router-level state (dead letters, metrics, policy)
     /// so reads see it without touching the coordinator.
     fn publish_router(&self) {
-        *self.shared.router.write() = RouterPublished {
-            dead: self.router_dead.clone(),
-            metrics: self.router_metrics.clone(),
-            policy: self.fault_policy,
-        };
+        *self.shared.router.write() = self.router.clone();
     }
 
-    /// Sends one ack-carrying command to every worker and waits for all
-    /// acks. Returns `false` (and poisons the engine) if any worker died.
-    fn broadcast_ack(&self, make: impl Fn(channel::Sender<()>) -> Cmd) -> bool {
+    /// "Run these lists on your shards": hands every worker its whole
+    /// index list at once and collects one outcome per worker. A worker
+    /// that never reports — its thread died before or during the batch —
+    /// poisons the engine and counts as a failed shard, so the batch
+    /// rolls back on the survivors.
+    fn run_on_workers(&self, rows: &Arc<Vec<Row>>, lists: Vec<Vec<usize>>) -> Vec<WorkerOutcome> {
         let num = self.worker_txs.len();
-        let (ack_tx, ack_rx) = channel::bounded(num);
-        let mut sent = 0usize;
-        for tx in &self.worker_txs {
-            if tx.send(make(ack_tx.clone())).is_ok() {
-                sent += 1;
-            }
+        let (outcome_tx, outcome_rx) = channel::bounded(num);
+        for (tx, indices) in self.worker_txs.iter().zip(lists) {
+            // A failed send is a dead worker: its outcome stays missing.
+            let _ = tx.send(Cmd::Ingest {
+                rows: Arc::clone(rows),
+                indices,
+                outcome: outcome_tx.clone(),
+            });
         }
-        drop(ack_tx);
-        let acked = ack_rx.iter().count();
-        let ok = sent == num && acked == num;
-        if !ok {
-            self.shared.poisoned.store(true, Ordering::Release);
+        drop(outcome_tx);
+        let mut outcomes: Vec<Option<WorkerOutcome>> = (0..num).map(|_| None).collect();
+        for (shard_id, outcome) in &outcome_rx {
+            outcomes[shard_id] = Some(outcome);
         }
-        ok
+        outcomes
+            .into_iter()
+            .map(|slot| {
+                slot.unwrap_or_else(|| {
+                    self.shared.poisoned.store(true, Ordering::Release);
+                    WorkerOutcome::lost("shard worker thread died".to_string())
+                })
+            })
+            .collect()
     }
 
     fn handle_ingest(
@@ -1291,122 +1172,23 @@ impl Coordinator {
         rows: Vec<Row>,
         ctx: &TraceContext,
     ) -> Result<BatchSummary, BatchError> {
-        let num = self.worker_txs.len();
-        let max_field = self.spec.max_field();
-        if matches!(self.fault_policy, FaultPolicy::FailBatch) {
-            // Same router-level arity prevalidation as the sharded engine:
-            // under FailBatch nothing is ingested at all.
-            if let Some(idx) = rows.iter().position(|r| r.len() <= max_field) {
-                if self.router_metrics.enabled {
-                    self.router_metrics.batches_rolled_back.inc();
-                }
-                return Err(BatchError {
-                    row: Some(idx),
-                    shard: None,
-                    cause: BatchCause::Row(SketchError::invalid(
-                        "row",
-                        "row shorter than query fields",
-                    )),
-                });
-            }
-        }
-        let start = self.router_metrics.start_batch();
+        self.router.prevalidate(&rows)?;
+        let start = self.router.metrics.start_batch();
         // Stage clocking is needed when either consumer is live: the
         // aggregate stage histograms (metrics enabled) or this request's
         // trace (sampled).
-        let timed = self.router_metrics.enabled || ctx.is_sampled();
-        let apply_start = if timed {
-            self.router_metrics.clock.now_nanos()
-        } else {
-            0
-        };
+        let timed = self.router.metrics.enabled || ctx.is_sampled();
+        let clock = Arc::clone(&self.router.metrics.clock);
+        let apply_start = if timed { clock.now_nanos() } else { 0 };
+        let num = self.worker_txs.len();
+        let Partition { lists, quarantine } = self.router.partition(&rows, num);
         let rows = Arc::new(rows);
-        let (outcome_tx, outcome_rx) = channel::bounded(num);
-        let mut index_txs = Vec::with_capacity(num);
-        let mut dispatched = true;
-        for tx in &self.worker_txs {
-            let (idx_tx, idx_rx) = channel::bounded::<usize>(self.channel_depth);
-            if tx
-                .send(Cmd::Ingest {
-                    rows: Arc::clone(&rows),
-                    indices: idx_rx,
-                    outcome: outcome_tx.clone(),
-                })
-                .is_err()
-            {
-                dispatched = false;
-                break;
-            }
-            index_txs.push(idx_tx);
-        }
-        drop(outcome_tx);
-        if !dispatched {
-            // A worker thread is gone before the batch even started: no
-            // shard holds an undo log for it, so fail fast and poison.
-            drop(index_txs);
-            for _ in &outcome_rx {}
-            self.shared.poisoned.store(true, Ordering::Release);
-            self.router_metrics.finish_batch(start);
-            return Err(poisoned_batch_error());
-        }
-
-        // Route rows to shards; stage router-level quarantine locally so
-        // batch atomicity covers dead letters too.
-        let mut router_quarantine: Vec<QuarantinedRow> = Vec::new();
-        for (idx, row) in rows.iter().enumerate() {
-            if row.len() <= max_field {
-                // FailBatch pre-validated arity above, so reaching this
-                // branch means the policy is Quarantine.
-                router_quarantine.push(QuarantinedRow {
-                    row_index: idx,
-                    shard: None,
-                    reason: SketchError::invalid("row", "row shorter than query fields"),
-                    row: row.clone(),
-                });
-                continue;
-            }
-            let fields = self.spec.group_by.iter().map(|&i| &row[i]);
-            let s = (ShardedEngine::key_hash(fields) % num as u64) as usize;
-            if index_txs[s].send(idx).is_err() {
-                // The worker closed its index channel — it failed. Stop
-                // feeding; the supervisor below rolls everything back.
-                break;
-            }
-        }
-        drop(index_txs);
-
-        // Collect one outcome per worker; a missing outcome means the
-        // worker thread died mid-batch.
-        let mut outcomes: Vec<Option<WorkerOutcome>> = (0..num).map(|_| None).collect();
-        for (shard_id, outcome) in &outcome_rx {
-            outcomes[shard_id] = Some(outcome);
-        }
-        let mut summary = BatchSummary::default();
-        let mut failures: Vec<(usize, Option<usize>, BatchCause)> = Vec::new();
-        let mut worker_died = false;
-        for (i, slot) in outcomes.into_iter().enumerate() {
-            match slot {
-                Some(out) => {
-                    summary.rows_ingested += out.ingested;
-                    summary.rows_quarantined += out.quarantined;
-                    if let Some((row, cause)) = out.failure {
-                        failures.push((i, row, cause));
-                    }
-                }
-                None => {
-                    worker_died = true;
-                    failures.push((
-                        i,
-                        None,
-                        BatchCause::WorkerPanic("shard worker thread died".to_string()),
-                    ));
-                }
-            }
-        }
+        let outcomes = self.run_on_workers(&rows, lists);
         if timed {
-            let apply_end = self.router_metrics.clock.now_nanos();
-            if self.router_metrics.enabled {
-                self.router_metrics
+            let apply_end = clock.now_nanos();
+            if self.router.metrics.enabled {
+                self.router
+                    .metrics
                     .stage_engine_apply
                     .record_nanos(apply_end.saturating_sub(apply_start));
             }
@@ -1421,61 +1203,36 @@ impl Coordinator {
             );
         }
 
-        let result = if failures.is_empty() {
-            let publish_start = if timed {
-                self.router_metrics.clock.now_nanos()
-            } else {
-                0
+        // "Commit or roll back all shards": one acked broadcast. The
+        // publish stage is the commit broadcast — each worker publishes
+        // before it acks.
+        let (worker_txs, shared) = (&self.worker_txs, &self.shared);
+        let mut publish_span = None;
+        let result = self.router.settle(outcomes, quarantine, |commit| {
+            let publish_start = (timed && commit).then(|| clock.now_nanos());
+            let make = |ack| {
+                if commit {
+                    Cmd::Commit { ack }
+                } else {
+                    Cmd::Rollback { ack }
+                }
             };
-            if !self.broadcast_ack(|ack| Cmd::Commit { ack }) {
-                self.router_metrics.finish_batch(start);
+            if !broadcast_ack(worker_txs, shared, make) {
                 return Err(poisoned_batch_error());
             }
-            if timed {
-                let publish_end = self.router_metrics.clock.now_nanos();
-                if self.router_metrics.enabled {
-                    self.router_metrics
-                        .stage_publish
-                        .record_nanos(publish_end.saturating_sub(publish_start));
-                }
-                ctx.child(Stage::Publish, publish_start, publish_end);
+            publish_span = publish_start.map(|start| (start, clock.now_nanos()));
+            Ok(())
+        });
+        if let Some((publish_start, publish_end)) = publish_span {
+            if self.router.metrics.enabled {
+                self.router
+                    .metrics
+                    .stage_publish
+                    .record_nanos(publish_end.saturating_sub(publish_start));
             }
-            if self.router_metrics.enabled {
-                self.router_metrics.batches_committed.inc();
-                self.router_metrics
-                    .rows_quarantined
-                    .add(router_quarantine.len() as u64);
-            }
-            for q in router_quarantine {
-                summary.rows_quarantined += 1;
-                self.router_dead.record(q);
-            }
-            Ok(summary)
-        } else {
-            if worker_died {
-                self.shared.poisoned.store(true, Ordering::Release);
-            }
-            if !self.broadcast_ack(|ack| Cmd::Rollback { ack }) {
-                self.router_metrics.finish_batch(start);
-                return Err(poisoned_batch_error());
-            }
-            // Deterministic report: the earliest failing row across shards
-            // (failures without a row index sort last), then lowest shard.
-            failures.sort_by_key(|&(shard, row, _)| (row.unwrap_or(usize::MAX), shard));
-            let (shard, row, cause) = failures.swap_remove(0);
-            if self.router_metrics.enabled {
-                self.router_metrics.batches_rolled_back.inc();
-                if matches!(cause, BatchCause::WorkerPanic(_)) {
-                    self.router_metrics.panics_contained.inc();
-                }
-            }
-            Err(BatchError {
-                row,
-                shard: Some(shard),
-                cause,
-            })
-        };
-        self.router_metrics.finish_batch(start);
+            ctx.child(Stage::Publish, publish_start, publish_end);
+        }
+        self.router.metrics.finish_batch(start);
         result
     }
 
@@ -1502,15 +1259,14 @@ impl Coordinator {
         // Per-shard windows are each sorted; a full sort restores the
         // global key order the sequential engine emits.
         out.sort_by(|a, b| a.0.cmp(&b.0));
-        self.router_dead.clear();
+        self.router.dead.clear();
         Ok(out)
     }
 
     fn handle_merge(
         &mut self,
-        shards: Vec<SketchEngine>,
-        dead: &DeadLetters,
-        metrics: &EngineMetrics,
+        shards: Vec<Arc<SketchEngine>>,
+        router: &Router,
     ) -> SketchResult<()> {
         if shards.len() != self.worker_txs.len() {
             return Err(SketchError::incompatible("shard counts differ"));
@@ -1520,7 +1276,7 @@ impl Coordinator {
             let (reply_tx, reply_rx) = channel::bounded(1);
             if tx
                 .send(Cmd::Merge {
-                    other: Box::new(other),
+                    other,
                     done: reply_tx,
                 })
                 .is_err()
@@ -1541,8 +1297,7 @@ impl Coordinator {
                 }
             }
         }
-        self.router_dead.absorb(dead, None);
-        self.router_metrics.absorb(metrics);
+        self.router.absorb(router);
         Ok(())
     }
 
@@ -1613,7 +1368,6 @@ mod tests {
     #[test]
     fn rejects_zero_shards_and_zero_depth() {
         assert!(ConcurrentEngine::new(spec(), 0).is_err());
-        assert!(ConcurrentEngine::with_config(spec(), EngineConfig::default(), 2, 0).is_err());
     }
 
     #[test]
@@ -1921,11 +1675,60 @@ mod tests {
         }
     }
 
+    /// Every read accessor of `$e` over the 9 groups of the stream below,
+    /// rendered comparable — written once for the three holders of the
+    /// same shards (engine, read handle, sharded engine).
+    macro_rules! reads {
+        ($e:expr) => {{
+            let e = &$e;
+            let metrics = e.metrics();
+            // What is left once the series only the concurrent topology
+            // exports are set aside — and resident bytes, which count
+            // `Vec` capacity and so differ between a live shard and the
+            // published clone of it.
+            let not_shared = |name: &String| {
+                name.starts_with("publish_")
+                    || name == names::SUBMIT_QUEUE_DEPTH
+                    || name == names::SNAPSHOTS_PUBLISHED
+                    || name == names::STATE_BYTES
+            };
+            let shared_series: Vec<(String, u64)> = metrics
+                .counters
+                .into_iter()
+                .chain(metrics.gauges)
+                .filter(|(name, _)| !not_shared(name))
+                .collect();
+            (
+                (
+                    e.num_shards(),
+                    e.rows_processed(),
+                    e.num_groups(),
+                    e.groups()
+                        .into_iter()
+                        .map(|k| k.to_vec())
+                        .collect::<Vec<_>>(),
+                    (0..10u64)
+                        .map(|g| e.report(&row![g]).unwrap())
+                        .collect::<Vec<_>>(),
+                    e.query_view().to_view_bytes(),
+                    e.to_snapshot_bytes(),
+                ),
+                (e.fault_policy(), e.dead_letters(), shared_series),
+            )
+        }};
+    }
+
     #[test]
     fn read_handle_survives_poisoning_and_drop() {
         crate::fault::silence_injected_panics();
-        let conc = ConcurrentEngine::new(spec(), 4).unwrap();
+        let policy = FaultPolicy::Quarantine { max_samples: 8 };
+        // One poison row for the router (short) and one for a shard (bad
+        // type): no clean rows, so the row totals below stay at 3 000.
+        let poison = vec![row![7u64], row![0u64, 1u64, "bad"]];
+        let mut conc = ConcurrentEngine::new(spec(), 4).unwrap();
+        conc.set_fault_policy(policy);
         conc.submit_batch(rows(3_000, 9)).wait().unwrap();
+        conc.submit_batch(poison.clone()).wait().unwrap();
         let reader = conc.reader();
         assert_eq!(reader.rows_processed(), 3_000);
         assert_eq!(reader.num_groups(), 9);
@@ -1935,6 +1738,25 @@ mod tests {
             reader.report(&row![1u64]).unwrap(),
             conc.report(&row![1u64]).unwrap()
         );
+
+        // One read side: the engine, its handle, and a sharded engine
+        // holding the same shards answer every accessor identically.
+        // State accessors against a sharded engine *restored* from the
+        // snapshot bytes; policy, dead letters and telemetry (which
+        // snapshots deliberately exclude) against one fed the same stream.
+        let (state, transient) = reads!(conc);
+        assert_eq!(reads!(reader), (state.clone(), transient.clone()));
+        assert_eq!(conc.state_bytes(), reader.state_bytes());
+        assert_eq!(conc.metrics().gauges, reader.metrics().gauges);
+        assert_eq!(conc.metrics().counters, reader.metrics().counters);
+        let restored = ShardedEngine::from_snapshot_bytes(&state.6).unwrap();
+        assert_eq!(reads!(restored).0, state);
+        let mut twin = ShardedEngine::new(spec(), 4).unwrap();
+        twin.set_fault_policy(policy);
+        twin.process_batch(&rows(3_000, 9)).unwrap();
+        twin.process_batch(&poison).unwrap();
+        assert_eq!(reads!(twin), (state.clone(), transient.clone()));
+        assert_eq!(transient.1.count(), 2);
 
         // Poisoned: the reader still serves the last published epoch.
         conc.inject_coordinator_panic();
@@ -1950,6 +1772,7 @@ mod tests {
         assert_eq!(reader.groups().len(), 9);
         assert_eq!(reader.to_snapshot_bytes(), bytes_before);
         assert!(reader.metrics().gauges[names::SHARDS] == 4);
+        assert_eq!(reads!(reader).0, state);
     }
 
     #[test]

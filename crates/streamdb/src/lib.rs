@@ -17,8 +17,10 @@
 //!   identical to the sequential engine.
 //! * [`concurrent`] — [`concurrent::ConcurrentEngine`]: serve while
 //!   ingesting — long-lived shard workers, a submit/poll batch API
-//!   ([`concurrent::BatchTicket`]), and epoch-published immutable
-//!   snapshots so reads never block behind ingest.
+//!   ([`concurrent::BatchTicket`]), and one epoch-published immutable
+//!   snapshot per shard so reads never block behind ingest. (The batch
+//!   protocol and the cross-shard read accessors these two topologies
+//!   share live once, in the private `router` module.)
 //! * [`exact`] — [`exact::ExactEngine`]: the same query model over exact
 //!   per-group state, the baseline of experiment E16.
 //! * [`fault`] — the fault model: transactional batches with typed
@@ -42,8 +44,8 @@
 //! * [`view`] — [`view::EngineView`]: the read/write split at engine
 //!   granularity. Every engine cuts a slim query-side view (truncated
 //!   top-k entries, cloned small sketches, SF-sketch slim halves) that is
-//!   a fraction of the fat state's size and is what epoch publication,
-//!   cross-shard merges, and the serving wire actually ship.
+//!   a fraction of the fat state's size and is what cross-shard merges
+//!   and the serving wire actually ship.
 
 #![forbid(unsafe_code)]
 
@@ -54,6 +56,7 @@ pub mod exact;
 pub mod fault;
 pub mod metrics;
 pub mod query;
+mod router;
 pub mod sharded;
 pub mod snapshot;
 pub mod stream_engine;

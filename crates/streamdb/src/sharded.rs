@@ -10,165 +10,78 @@
 //!   and [`EngineConfig`] (identical sketch seeds);
 //! * rows are routed by a deterministic hash of their grouping key, so a
 //!   group's rows always land on the same shard, in stream order;
-//! * during [`process_batch`](ShardedEngine::process_batch) each shard is
-//!   driven by its own scoped worker thread, fed row *indices* through a
-//!   bounded channel — workers borrow the caller's `&[Row]`, so nothing is
-//!   cloned on the ingest path.
+//! * [`process_batch`](ShardedEngine::process_batch) splits the batch into
+//!   one list of row *indices* per shard and drives each shard from its
+//!   own scoped worker thread — workers borrow the caller's `&[Row]`, so
+//!   nothing is cloned on the ingest path.
+//!
+//! The batch protocol around those threads (prevalidate, partition,
+//! commit-or-roll-back-all, failure attribution) and every cross-shard
+//! read accessor are shared with [`crate::ConcurrentEngine`]; this file
+//! is only the synchronous topology — scoped threads over `&mut` shards.
 //!
 //! # Consistency model
 //!
-//! While a batch is in flight, a shard's state lags the router by at most
-//! `channel_depth` rows (the bounded-channel capacity) — but that window
-//! is internal: `process_batch` joins every worker before returning, so
-//! all public reads ([`report`](ShardedEngine::report),
-//! [`flush_window`](ShardedEngine::flush_window), …) observe a fully
-//! drained, quiescent engine.
+//! `process_batch` takes `&mut self` and joins every worker before
+//! returning, so all public reads ([`report`](ShardedEngine::report),
+//! [`flush_window`](ShardedEngine::flush_window), …) observe a quiescent
+//! engine: a batch is in it whole or not at all.
 //!
 //! Because routing is per-group and each shard applies a group's rows in
 //! stream order with the same seeds as a sequential engine, every
 //! per-group report is **identical** (not merely statistically close) to
 //! what a single [`SketchEngine`] fed the same rows would produce.
 
-use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use crossbeam::channel;
 use crossbeam::thread as cb_thread;
 use sketches_core::{SketchError, SketchResult};
-use sketches_hash::{hash_item, mix64};
 
 use crate::engine::{EngineConfig, SketchEngine};
 use crate::fault::{
     panic_message, BatchCause, BatchError, BatchSummary, DeadLetters, FaultInjector, FaultPolicy,
-    QuarantinedRow,
 };
-use crate::metrics::{names, EngineMetrics};
 use crate::query::{AggregateResult, QuerySpec};
+use crate::router::{self, worker_ingest, Partition, Router, WorkerOutcome};
 use crate::value::{Row, Value};
-
-/// Seed of the shard-routing hash. Distinct from every sketch seed so the
-/// placement of groups is independent of sketch randomness.
-const ROUTE_SEED: u64 = 0x0005_AAED_0C0D;
-
-/// Default bounded-channel capacity between the router and each shard
-/// worker (row indices, so 8 KiB per shard at the default). Shared with
-/// [`crate::concurrent::ConcurrentEngine`].
-pub(crate) const DEFAULT_CHANNEL_DEPTH: usize = 1024;
 
 /// A sharded GROUP BY engine: N [`SketchEngine`] partitions driven in
 /// parallel, with per-group results identical to a single engine.
 #[derive(Debug, Clone)]
 pub struct ShardedEngine {
     pub(crate) shards: Vec<SketchEngine>,
-    pub(crate) spec: QuerySpec,
-    pub(crate) config: EngineConfig,
-    pub(crate) channel_depth: usize,
-    /// Poison-row policy, mirrored into every shard.
-    fault_policy: FaultPolicy,
-    /// Rows the router itself quarantined (too short to project a grouping
-    /// key, so never routable to a shard).
-    router_dead: DeadLetters,
-    /// Batch-level telemetry owned by the router. Row-level counters live
-    /// in each shard; the router bumps the batch counters and latency
-    /// exactly once per multi-shard batch (workers bypass the shards'
-    /// own `process_batch`, so nothing double-counts).
-    router_metrics: EngineMetrics,
-}
-
-/// What one shard worker did with its slice of the batch. Shared with
-/// [`crate::concurrent::ConcurrentEngine`], whose long-lived workers run
-/// the same supervised ingest loop.
-pub(crate) struct WorkerOutcome {
-    pub(crate) ingested: usize,
-    pub(crate) quarantined: usize,
-    /// `Some((row, cause))` if the worker failed (its shard still holds an
-    /// undo log; the supervisor decides commit vs rollback globally).
-    pub(crate) failure: Option<(Option<usize>, BatchCause)>,
+    /// Spec, poison-row policy, router dead letters and batch metrics,
+    /// with the batch protocol over them.
+    router: Router,
 }
 
 impl ShardedEngine {
-    /// Creates a sharded engine with default sketch parameters and channel
-    /// depth.
+    /// Creates a sharded engine with default sketch parameters.
     ///
     /// # Errors
     /// Returns an error if `num_shards == 0` or the spec/config produce
     /// invalid sketches.
     pub fn new(spec: QuerySpec, num_shards: usize) -> SketchResult<Self> {
-        Self::with_config(
-            spec,
-            EngineConfig::default(),
-            num_shards,
-            DEFAULT_CHANNEL_DEPTH,
-        )
+        Self::with_config(spec, EngineConfig::default(), num_shards)
     }
 
-    /// Creates a sharded engine with explicit sketch parameters and
-    /// router→worker channel capacity.
+    /// Creates a sharded engine with explicit sketch parameters.
     ///
     /// # Errors
-    /// Returns an error if `num_shards == 0`, `channel_depth == 0`, or the
-    /// spec/config produce invalid sketches.
+    /// Returns an error if `num_shards == 0` or the spec/config produce
+    /// invalid sketches.
     pub fn with_config(
         spec: QuerySpec,
         config: EngineConfig,
         num_shards: usize,
-        channel_depth: usize,
     ) -> SketchResult<Self> {
-        if num_shards == 0 {
-            return Err(SketchError::invalid(
-                "num_shards",
-                "need at least one shard",
-            ));
-        }
-        if channel_depth == 0 {
-            return Err(SketchError::invalid("channel_depth", "need capacity >= 1"));
-        }
-        let shards = (0..num_shards)
-            .map(|_| SketchEngine::with_config(spec.clone(), config))
-            .collect::<SketchResult<Vec<_>>>()?;
-        Ok(Self {
-            shards,
-            spec,
-            config,
-            channel_depth,
-            fault_policy: FaultPolicy::default(),
-            router_dead: DeadLetters::default(),
-            router_metrics: EngineMetrics::new(),
-        })
+        Ok(Self::from_shards(fresh_shards(&spec, config, num_shards)?))
     }
 
-    /// Rebuilds a sharded engine from restored parts (checkpoint restore;
-    /// the caller has already validated the shards share spec and config).
-    pub(crate) fn from_restored_shards(
-        shards: Vec<SketchEngine>,
-        spec: QuerySpec,
-        config: EngineConfig,
-        channel_depth: usize,
-    ) -> Self {
-        Self {
-            shards,
-            spec,
-            config,
-            channel_depth,
-            fault_policy: FaultPolicy::default(),
-            router_dead: DeadLetters::default(),
-            router_metrics: EngineMetrics::new(),
-        }
-    }
-
-    /// Order-sensitive hash of a grouping-key value sequence. Shared with
-    /// [`crate::concurrent::ConcurrentEngine`] so both topologies place
-    /// every group on the same shard for a given shard count.
-    pub(crate) fn key_hash<'a>(fields: impl Iterator<Item = &'a Value>) -> u64 {
-        let mut acc = ROUTE_SEED;
-        for v in fields {
-            acc = mix64(acc ^ hash_item(v, ROUTE_SEED));
-        }
-        acc
-    }
-
-    fn shard_of_key(&self, key: &[Value]) -> usize {
-        (Self::key_hash(key.iter()) % self.shards.len() as u64) as usize
+    /// Wraps shards that share one spec and config (fresh construction;
+    /// checkpoint restore, which has validated exactly that) — at least
+    /// one, so the spec can be read off the first.
+    pub(crate) fn from_shards(shards: Vec<SketchEngine>) -> Self {
+        let router = Router::new(shards[0].spec.clone());
+        Self { shards, router }
     }
 
     /// Ingests a batch of rows, driving every shard from its own worker
@@ -188,151 +101,59 @@ impl ShardedEngine {
     /// when several shards fail, the earliest failing row (then lowest
     /// shard) is reported. The engine is unchanged.
     pub fn process_batch(&mut self, rows: &[Row]) -> Result<BatchSummary, BatchError> {
-        let max_field = self.spec.max_field();
-        if matches!(self.fault_policy, FaultPolicy::FailBatch) {
-            // The router must project grouping keys, so arity is validated
-            // for the whole batch up front — nothing is ingested at all.
-            if let Some(idx) = rows.iter().position(|r| r.len() <= max_field) {
-                // Counted as a rollback for parity with the sequential
-                // engine, which would ingest up to `idx` and roll back.
-                if self.router_metrics.enabled {
-                    self.router_metrics.batches_rolled_back.inc();
-                }
-                return Err(BatchError {
-                    row: Some(idx),
-                    shard: None,
-                    cause: BatchCause::Row(SketchError::invalid(
-                        "row",
-                        "row shorter than query fields",
-                    )),
-                });
-            }
-        }
+        self.router.prevalidate(rows)?;
         let num = self.shards.len();
         if num == 1 {
             // One shard is exactly the sequential engine; skip the
-            // thread/channel machinery (the engine supervises its own
+            // partition/thread machinery (the engine supervises its own
             // rollback).
             return self.shards[0].process_batch(rows).map_err(|mut e| {
                 e.shard = Some(0);
                 e
             });
         }
-        let start = self.router_metrics.start_batch();
-        let spec = &self.spec;
-        let depth = self.channel_depth;
+        let start = self.router.metrics.start_batch();
+        let Partition { lists, quarantine } = self.router.partition(rows, num);
         let shards = &mut self.shards;
-        // Router-level quarantine is staged locally and committed only if
-        // the batch succeeds (batch atomicity covers dead letters too).
-        let mut router_quarantine: Vec<QuarantinedRow> = Vec::new();
         let scope_result = cb_thread::scope(|scope| {
-            let mut senders = Vec::with_capacity(num);
-            let mut handles = Vec::with_capacity(num);
-            for shard in shards.iter_mut() {
-                let (tx, rx) = channel::bounded::<usize>(depth);
-                senders.push(tx);
-                handles.push(scope.spawn(move |_| worker_ingest(shard, rows, &rx)));
-            }
-            for (idx, row) in rows.iter().enumerate() {
-                if row.len() <= max_field {
-                    // FailBatch pre-validated arity above, so reaching this
-                    // branch means the policy is Quarantine.
-                    router_quarantine.push(QuarantinedRow {
-                        row_index: idx,
-                        shard: None,
-                        reason: SketchError::invalid("row", "row shorter than query fields"),
-                        row: row.clone(),
-                    });
-                    continue;
-                }
-                let fields = spec.group_by.iter().map(|&i| &row[i]);
-                let s = (Self::key_hash(fields) % num as u64) as usize;
-                if senders[s].send(idx).is_err() {
-                    // The worker hung up early — it failed. Stop feeding;
-                    // the supervisor below rolls everything back.
-                    break;
-                }
-            }
-            drop(senders);
+            let handles: Vec<_> = shards
+                .iter_mut()
+                .zip(&lists)
+                .map(|(shard, indices)| scope.spawn(move |_| worker_ingest(shard, rows, indices)))
+                .collect();
             handles
                 .into_iter()
                 .map(|h| {
-                    h.join().unwrap_or_else(|payload| WorkerOutcome {
-                        ingested: 0,
-                        quarantined: 0,
-                        failure: Some((
-                            None,
-                            BatchCause::WorkerPanic(panic_message(payload.as_ref())),
-                        )),
-                    })
+                    h.join()
+                        .unwrap_or_else(|p| WorkerOutcome::lost(panic_message(p.as_ref())))
                 })
                 .collect::<Vec<WorkerOutcome>>()
         });
-        let worker_results = match scope_result {
-            Ok(v) => v,
+        let result = match scope_result {
+            Ok(outcomes) => self.router.settle(outcomes, quarantine, |commit| {
+                for shard in shards.iter_mut() {
+                    if commit {
+                        shard.commit_batch();
+                    } else {
+                        shard.rollback_batch();
+                    }
+                }
+                Ok(())
+            }),
             Err(payload) => {
                 // The scope itself panicked (outside any worker's own
                 // supervisor). Roll back whatever the workers did.
-                for shard in self.shards.iter_mut() {
+                for shard in shards.iter_mut() {
                     shard.rollback_batch();
                 }
-                if self.router_metrics.enabled {
-                    self.router_metrics.batches_rolled_back.inc();
-                    self.router_metrics.panics_contained.inc();
-                }
-                self.router_metrics.finish_batch(start);
-                return Err(BatchError {
+                Err(self.router.count_failure(BatchError {
                     row: None,
                     shard: None,
                     cause: BatchCause::WorkerPanic(panic_message(payload.as_ref())),
-                });
+                }))
             }
         };
-        let mut summary = BatchSummary::default();
-        let mut failures: Vec<(usize, Option<usize>, BatchCause)> = Vec::new();
-        for (i, out) in worker_results.into_iter().enumerate() {
-            summary.rows_ingested += out.ingested;
-            summary.rows_quarantined += out.quarantined;
-            if let Some((row, cause)) = out.failure {
-                failures.push((i, row, cause));
-            }
-        }
-        let result = if failures.is_empty() {
-            for shard in self.shards.iter_mut() {
-                shard.commit_batch();
-            }
-            if self.router_metrics.enabled {
-                self.router_metrics.batches_committed.inc();
-                self.router_metrics
-                    .rows_quarantined
-                    .add(router_quarantine.len() as u64);
-            }
-            for q in router_quarantine {
-                summary.rows_quarantined += 1;
-                self.router_dead.record(q);
-            }
-            Ok(summary)
-        } else {
-            for shard in self.shards.iter_mut() {
-                shard.rollback_batch();
-            }
-            // Deterministic report: the earliest failing row across shards
-            // (failures without a row index sort last), then lowest shard.
-            failures.sort_by_key(|&(shard, row, _)| (row.unwrap_or(usize::MAX), shard));
-            let (shard, row, cause) = failures.swap_remove(0);
-            if self.router_metrics.enabled {
-                self.router_metrics.batches_rolled_back.inc();
-                if matches!(cause, BatchCause::WorkerPanic(_)) {
-                    self.router_metrics.panics_contained.inc();
-                }
-            }
-            Err(BatchError {
-                row,
-                shard: Some(shard),
-                cause,
-            })
-        };
-        self.router_metrics.finish_batch(start);
+        self.router.metrics.finish_batch(start);
         result
     }
 
@@ -342,7 +163,7 @@ impl ShardedEngine {
     /// # Errors
     /// Returns an error only for internal sketch query failures.
     pub fn report(&self, key: &[Value]) -> SketchResult<Option<Vec<AggregateResult>>> {
-        self.shards[self.shard_of_key(key)].report(key)
+        self.shards[router::shard_of(key, self.shards.len())].report(key)
     }
 
     /// Finishes a tumbling window: every group's report in ascending key
@@ -361,7 +182,7 @@ impl ShardedEngine {
         // Per-shard windows are each sorted; a full sort restores the
         // global key order the sequential engine emits.
         out.sort_by(|a, b| a.0.cmp(&b.0));
-        self.router_dead.clear();
+        self.router.dead.clear();
         Ok(out)
     }
 
@@ -380,8 +201,7 @@ impl ShardedEngine {
             a.merge(b)
                 .map_err(|e| SketchError::incompatible(format!("shard {i}: {e}")))?;
         }
-        self.router_dead.absorb(other.router_dead(), None);
-        self.router_metrics.absorb(&other.router_metrics);
+        self.router.absorb(&other.router);
         Ok(())
     }
 
@@ -392,7 +212,7 @@ impl ShardedEngine {
     /// Propagates merge errors (impossible for shards minted by this
     /// engine, which share spec and config).
     pub fn collapse(&self) -> SketchResult<SketchEngine> {
-        let mut out = SketchEngine::with_config(self.spec.clone(), self.config)?;
+        let mut out = SketchEngine::with_config(self.router.spec.clone(), self.shards[0].config)?;
         for shard in &self.shards {
             out.merge(shard)?;
         }
@@ -408,13 +228,13 @@ impl ShardedEngine {
     /// Total groups tracked across shards (groups never straddle shards).
     #[must_use]
     pub fn num_groups(&self) -> usize {
-        self.shards.iter().map(SketchEngine::num_groups).sum()
+        router::num_groups(&self.shards)
     }
 
     /// Total rows processed across shards.
     #[must_use]
     pub fn rows_processed(&self) -> u64 {
-        self.shards.iter().map(SketchEngine::rows_processed).sum()
+        router::rows_processed(&self.shards)
     }
 
     /// All group keys currently tracked, in ascending key order across
@@ -422,32 +242,25 @@ impl ShardedEngine {
     /// [`SketchEngine::groups`] (unified in PR 4; before that the listing
     /// was shard-by-shard, an ordering that leaked the routing hash).
     pub fn groups(&self) -> impl Iterator<Item = &Vec<Value>> {
-        // lint: sorted-iteration-ok(per-shard listings collected then fully sorted by the key total order below)
-        let mut keys: Vec<&Vec<Value>> =
-            self.shards.iter().flat_map(SketchEngine::groups).collect();
-        keys.sort();
-        keys.into_iter()
+        router::groups(&self.shards).into_iter()
     }
 
     /// Total sketch memory across shards.
     #[must_use]
     pub fn state_bytes(&self) -> usize {
-        self.shards.iter().map(SketchEngine::state_bytes).sum()
+        router::state_bytes(&self.shards)
     }
 
     /// Current poison-row policy.
     #[must_use]
     pub fn fault_policy(&self) -> FaultPolicy {
-        self.fault_policy
+        self.router.fault_policy
     }
 
     /// Sets the poison-row policy, mirroring it into every shard so the
     /// router and workers agree on how malformed rows are handled.
     pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
-        self.fault_policy = policy;
-        if let FaultPolicy::Quarantine { max_samples } = policy {
-            self.router_dead.set_max_samples(max_samples);
-        }
+        self.router.set_fault_policy(policy);
         for shard in &mut self.shards {
             shard.set_fault_policy(policy);
         }
@@ -490,7 +303,7 @@ impl ShardedEngine {
     /// quarantines are aggregated by [`dead_letters`](Self::dead_letters).
     #[must_use]
     pub fn router_dead(&self) -> &DeadLetters {
-        &self.router_dead
+        &self.router.dead
     }
 
     /// Aggregated dead-letter view: the router's own quarantine plus every
@@ -499,11 +312,7 @@ impl ShardedEngine {
     /// [`SketchEngine::dead_letters`]).
     #[must_use]
     pub fn dead_letters(&self) -> DeadLetters {
-        let mut all = self.router_dead.clone();
-        for (i, shard) in self.shards.iter().enumerate() {
-            all.absorb(&shard.dead_letters(), Some(i));
-        }
-        all
+        router::dead_letters(self.router.dead.clone(), &self.shards)
     }
 
     /// Cuts a telemetry snapshot merged across the router and every
@@ -514,21 +323,13 @@ impl ShardedEngine {
     /// routing skew directly observable.
     #[must_use]
     pub fn metrics(&self) -> sketches_obs::MetricsSnapshot {
-        let mut snap = self.router_metrics.snapshot();
-        for (i, shard) in self.shards.iter().enumerate() {
-            snap.merge(&shard.metrics())
-                // lint: panic-ok(every obs histogram shares one fixed (k, seed), so snapshot merge cannot fail)
-                .expect("obs snapshots share one KLL shape");
-            snap.add_gauge(&names::shard_rows_routed(i), shard.rows_processed());
-        }
-        snap.add_gauge(names::SHARDS, self.shards.len() as u64);
-        snap
+        router::metrics(&self.router.metrics, &self.shards)
     }
 
     /// Enables or disables metric recording on the router and every
     /// shard (on by default).
     pub fn set_metrics_enabled(&mut self, enabled: bool) {
-        self.router_metrics.enabled = enabled;
+        self.router.metrics.enabled = enabled;
         for shard in &mut self.shards {
             shard.set_metrics_enabled(enabled);
         }
@@ -537,55 +338,33 @@ impl ShardedEngine {
     /// Installs the time source behind the batch-latency histograms on
     /// the router and every shard (see [`SketchEngine::set_clock`]).
     pub fn set_clock(&mut self, clock: std::sync::Arc<dyn sketches_obs::Clock>) {
-        self.router_metrics.clock = clock.clone();
+        self.router.metrics.clock = clock.clone();
         for shard in &mut self.shards {
             shard.set_clock(clock.clone());
         }
     }
 }
 
-/// One shard worker's ingest loop, supervised: panics inside
-/// [`SketchEngine::ingest_row`] (including injected ones) are contained
-/// here and reported as a [`BatchCause::WorkerPanic`], leaving the shard's
-/// undo log intact so the supervisor can roll the whole batch back.
-/// Shared with [`crate::concurrent::ConcurrentEngine`]'s long-lived
-/// workers, so both topologies ingest identically.
-pub(crate) fn worker_ingest(
-    shard: &mut SketchEngine,
-    rows: &[Row],
-    rx: &channel::Receiver<usize>,
-) -> WorkerOutcome {
-    shard.begin_batch();
-    let mut ingested = 0usize;
-    let mut quarantined = 0usize;
-    let current = Cell::new(None);
-    // lint: panic-boundary(worker supervisor: contains shard panics so the batch can roll back with a typed error)
-    let caught = catch_unwind(AssertUnwindSafe(|| -> Result<(), (usize, SketchError)> {
-        for idx in rx {
-            current.set(Some(idx));
-            match shard.ingest_row(idx, &rows[idx]) {
-                Ok(true) => ingested += 1,
-                Ok(false) => quarantined += 1,
-                // Dropping `rx` closes the channel, so the router's next
-                // send fails and it stops feeding the batch.
-                Err(e) => return Err((idx, e)),
-            }
-        }
-        Ok(())
-    }));
-    let failure = match caught {
-        Ok(Ok(())) => None,
-        Ok(Err((idx, e))) => Some((Some(idx), BatchCause::Row(e))),
-        Err(payload) => Some((
-            current.get(),
-            BatchCause::WorkerPanic(panic_message(payload.as_ref())),
-        )),
-    };
-    WorkerOutcome {
-        ingested,
-        quarantined,
-        failure,
+/// `num_shards` empty shards sharing one spec and config — how both
+/// topologies start.
+///
+/// # Errors
+/// Returns an error if `num_shards == 0` or the spec/config produce
+/// invalid sketches.
+pub(crate) fn fresh_shards(
+    spec: &QuerySpec,
+    config: EngineConfig,
+    num_shards: usize,
+) -> SketchResult<Vec<SketchEngine>> {
+    if num_shards == 0 {
+        return Err(SketchError::invalid(
+            "num_shards",
+            "need at least one shard",
+        ));
     }
+    (0..num_shards)
+        .map(|_| SketchEngine::with_config(spec.clone(), config))
+        .collect()
 }
 
 #[cfg(test)]
@@ -737,7 +516,6 @@ mod tests {
     #[test]
     fn rejects_zero_shards_and_zero_depth() {
         assert!(ShardedEngine::new(spec(), 0).is_err());
-        assert!(ShardedEngine::with_config(spec(), EngineConfig::default(), 2, 0).is_err());
     }
 
     #[test]
@@ -863,7 +641,6 @@ mod tests {
                 ..EngineConfig::default()
             },
             2,
-            DEFAULT_CHANNEL_DEPTH,
         )
         .unwrap();
         let err = a.merge(&b).unwrap_err();

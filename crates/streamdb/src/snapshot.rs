@@ -27,6 +27,8 @@
 //! Snapshots are in-memory byte images; durability (where to write them,
 //! fsync discipline) is the caller's concern.
 
+use std::borrow::Borrow;
+
 use sketches_core::{ByteReader, ByteWriter, SketchError, SketchResult};
 use sketches_hash::xxhash::xxh64;
 
@@ -38,10 +40,12 @@ const MAGIC: &[u8; 4] = b"SKCP";
 
 /// Format version; bumped on any layout change so old readers fail with a
 /// typed error instead of misparsing. Version 2: [`EngineConfig`] gained
-/// the SF-sketch width fields (`sf_fat_width`, `sf_slim_width`).
+/// the SF-sketch width fields (`sf_fat_width`, `sf_slim_width`). Version
+/// 3: the sharded payload lost its leading channel-depth `u64` (the knob
+/// is gone; it starts at the shard count).
 ///
 /// [`EngineConfig`]: crate::engine::EngineConfig
-const VERSION: u16 = 2;
+const VERSION: u16 = 3;
 
 /// Kind tag: a sequential [`SketchEngine`].
 const KIND_ENGINE: u8 = 1;
@@ -77,10 +81,11 @@ impl std::fmt::Display for SnapshotKind {
 
 /// A restored engine snapshot: whichever engine kind the bytes contained.
 #[derive(Debug, Clone)]
+#[allow(clippy::large_enum_variant)] // one short-lived value per restore: boxing buys only an allocation
 pub enum Snapshot {
     /// A sequential engine.
     Engine(SketchEngine),
-    /// A sharded engine (shard count and channel depth restored too).
+    /// A sharded engine (shard count restored too).
     Sharded(ShardedEngine),
 }
 
@@ -121,32 +126,10 @@ impl Snapshot {
     /// Serializes the snapshot to its checksummed envelope.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let (kind, payload) = match self {
-            Self::Engine(engine) => {
-                let mut w = ByteWriter::new();
-                engine.write_state_payload(&mut w);
-                (KIND_ENGINE, w.into_bytes())
-            }
-            Self::Sharded(sharded) => {
-                let mut w = ByteWriter::new();
-                w.put_u64(sharded.channel_depth as u64);
-                w.put_u32(sharded.shards.len() as u32);
-                for shard in &sharded.shards {
-                    let mut sw = ByteWriter::new();
-                    shard.write_state_payload(&mut sw);
-                    w.put_len_prefixed(sw.as_slice());
-                }
-                (KIND_SHARDED, w.into_bytes())
-            }
-        };
-        let mut w = ByteWriter::new();
-        w.put_bytes(MAGIC);
-        w.put_u16(VERSION);
-        w.put_u8(kind);
-        w.put_len_prefixed(&payload);
-        let checksum = xxh64(w.as_slice(), CHECKSUM_SEED);
-        w.put_u64(checksum);
-        w.into_bytes()
+        match self {
+            Self::Engine(engine) => encode(SnapshotKind::Engine, std::slice::from_ref(engine)),
+            Self::Sharded(sharded) => encode(SnapshotKind::Sharded, &sharded.shards),
+        }
     }
 
     /// Restores a snapshot from [`to_bytes`](Self::to_bytes) output.
@@ -192,12 +175,6 @@ impl Snapshot {
         let snapshot = match kind {
             KIND_ENGINE => Self::Engine(SketchEngine::read_state_payload(&mut pr)?),
             KIND_SHARDED => {
-                let depth = pr.u64()?;
-                if depth == 0 || depth > usize::MAX as u64 {
-                    return Err(SketchError::corrupted(format!(
-                        "snapshot channel depth {depth} out of range"
-                    )));
-                }
                 let num_shards = pr.u32()? as usize;
                 if num_shards == 0 {
                     return Err(SketchError::corrupted("snapshot has zero shards"));
@@ -227,14 +204,7 @@ impl Snapshot {
                     }
                     shards.push(shard);
                 }
-                let spec = shards[0].spec.clone();
-                let config = shards[0].config;
-                Self::Sharded(ShardedEngine::from_restored_shards(
-                    shards,
-                    spec,
-                    config,
-                    depth as usize,
-                ))
+                Self::Sharded(ShardedEngine::from_shards(shards))
             }
             other => {
                 return Err(SketchError::corrupted(format!(
@@ -245,6 +215,39 @@ impl Snapshot {
         pr.expect_end("snapshot payload")?;
         Ok(snapshot)
     }
+}
+
+/// The one envelope writer, over *borrowed* shards — serializing never
+/// copies sketch state. [`SnapshotKind::Engine`] frames `shards[0]`'s
+/// payload bare; [`SnapshotKind::Sharded`] frames the shard count and
+/// every shard's payload length-prefixed, which is why the sharded
+/// engine, the concurrent engine and its read handle (which hold their
+/// shards three different ways) all produce identical bytes.
+pub(crate) fn encode<S: Borrow<SketchEngine>>(kind: SnapshotKind, shards: &[S]) -> Vec<u8> {
+    let mut payload = ByteWriter::new();
+    let kind = match kind {
+        SnapshotKind::Engine => {
+            shards[0].borrow().write_state_payload(&mut payload);
+            KIND_ENGINE
+        }
+        SnapshotKind::Sharded => {
+            payload.put_u32(shards.len() as u32);
+            for shard in shards {
+                let mut sw = ByteWriter::new();
+                shard.borrow().write_state_payload(&mut sw);
+                payload.put_len_prefixed(sw.as_slice());
+            }
+            KIND_SHARDED
+        }
+    };
+    let mut w = ByteWriter::new();
+    w.put_bytes(MAGIC);
+    w.put_u16(VERSION);
+    w.put_u8(kind);
+    w.put_len_prefixed(payload.as_slice());
+    let checksum = xxh64(w.as_slice(), CHECKSUM_SEED);
+    w.put_u64(checksum);
+    w.into_bytes()
 }
 
 /// Shared header walk behind [`Snapshot::kind_of`] /
@@ -294,7 +297,7 @@ impl SketchEngine {
     /// Serializes this engine as a checksummed snapshot.
     #[must_use]
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        Snapshot::Engine(self.clone()).to_bytes()
+        encode(SnapshotKind::Engine, std::slice::from_ref(self))
     }
 
     /// Restores an engine from [`to_snapshot_bytes`](Self::to_snapshot_bytes)
@@ -314,11 +317,11 @@ impl SketchEngine {
 }
 
 impl ShardedEngine {
-    /// Serializes this engine as a checksummed snapshot (shard count and
-    /// channel depth included, so restore rebuilds the same topology).
+    /// Serializes this engine as a checksummed snapshot (shard count
+    /// included, so restore rebuilds the same topology).
     #[must_use]
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        Snapshot::Sharded(self.clone()).to_bytes()
+        encode(SnapshotKind::Sharded, &self.shards)
     }
 
     /// Restores a sharded engine from
@@ -512,19 +515,29 @@ mod tests {
 
     #[test]
     fn version_skew_is_typed() {
-        let engine = SketchEngine::new(spec()).unwrap();
-        let mut bytes = engine.to_snapshot_bytes();
-        // Bump the version field (bytes 4..6) and re-seal the checksum so
-        // only the version check can reject it.
-        bytes[4] = 0xFF;
-        let body_len = bytes.len() - 8;
-        let sum = xxh64(&bytes[..body_len], CHECKSUM_SEED).to_le_bytes();
-        bytes[body_len..].copy_from_slice(&sum);
-        match Snapshot::from_bytes(&bytes) {
-            Err(SketchError::Corrupted { reason }) => {
-                assert!(reason.contains("version"), "{reason}");
+        let sharded = ShardedEngine::new(spec(), 2).unwrap();
+        // A future version, and version 2 — the last format that carried
+        // the channel-depth field, which this build must refuse to guess
+        // at rather than misparse.
+        for version in [0x00FFu16, 2] {
+            let mut bytes = sharded.to_snapshot_bytes();
+            // Rewrite the version field (bytes 4..6) and re-seal the
+            // checksum so only the version check can reject it.
+            bytes[4..6].copy_from_slice(&version.to_le_bytes());
+            let body_len = bytes.len() - 8;
+            let sum = xxh64(&bytes[..body_len], CHECKSUM_SEED).to_le_bytes();
+            bytes[body_len..].copy_from_slice(&sum);
+            match Snapshot::from_bytes(&bytes) {
+                Err(SketchError::Corrupted { reason }) => assert!(
+                    reason.contains(&format!("unsupported snapshot version {version}")),
+                    "{reason}"
+                ),
+                other => panic!("expected version error, got {other:?}"),
             }
-            other => panic!("expected version error, got {other:?}"),
+            assert!(matches!(
+                Snapshot::kind_of(&bytes),
+                Err(SketchError::Corrupted { .. })
+            ));
         }
     }
 
@@ -532,9 +545,9 @@ mod tests {
     fn shard_count_mismatch_in_payload_is_typed() {
         let sharded = ShardedEngine::new(spec(), 2).unwrap();
         let mut bytes = sharded.to_snapshot_bytes();
-        // The shard count is the u32 right after the payload's channel
-        // depth: envelope header is 4+2+1+8 = 15 bytes, then depth u64.
-        let count_at = 15 + 8;
+        // The shard count is the u32 that opens the payload, right after
+        // the 4+2+1+8 = 15-byte envelope header.
+        let count_at = 15;
         bytes[count_at] = 7;
         let body_len = bytes.len() - 8;
         let sum = xxh64(&bytes[..body_len], CHECKSUM_SEED).to_le_bytes();

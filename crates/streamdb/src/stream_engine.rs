@@ -132,9 +132,8 @@ pub trait StreamEngine: Sized {
     /// ([`sketches_core::QueryView`]). The view answers
     /// [`crate::EngineView::report`] identically to [`report`](Self::report)
     /// at the moment of the cut, at a fraction of the fat state's size;
-    /// it is what epoch publication, cross-node merges, and the serving
-    /// wire ship. On the concurrent engine this is the latest *published*
-    /// epoch's view.
+    /// it is what cross-node merges and the serving wire ship. On the
+    /// concurrent engine this is cut from the latest *published* epoch.
     fn query_view(&self) -> crate::EngineView;
 
     /// The envelope kind [`to_snapshot_bytes`](Self::to_snapshot_bytes)

@@ -28,10 +28,10 @@
 //! +-------+---------+---------------------+-------------------+
 //! ```
 //!
-//! This is what ships: the concurrent engine epoch-publishes per-shard
-//! views alongside its fat snapshots, cross-shard reads merge views, and
-//! the serving layer's `/v1/view` endpoint transfers view bytes instead
-//! of fat checkpoints. Checkpoints and the WAL stay fat deliberately —
+//! This is what ships: cross-shard reads merge per-shard views (the
+//! concurrent engine cuts them on demand from its published snapshots),
+//! and the serving layer's `/v1/view` endpoint transfers view bytes
+//! instead of fat checkpoints. Checkpoints and the WAL stay fat deliberately —
 //! recovery must be byte-exact, and a view cannot resume ingest.
 //!
 //! **Merge caveat:** merging two views that hold the *same group* (only
@@ -40,6 +40,7 @@
 //! entry lists and re-taking the top `k`, an approximation of the fat
 //! SpaceSaving merge. All other aggregates merge exactly.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use sketches_cardinality::HyperLogLogPlusPlus;
@@ -457,6 +458,22 @@ impl SketchEngine {
     }
 }
 
+/// Cuts and unions the views of `shards`. Routing places every group in
+/// exactly one shard, so the union is exact — the merged view reports
+/// identically to the shards' fat reports. O(state): callers holding
+/// shards behind locks take them out first.
+pub(crate) fn merged_view<S: Borrow<SketchEngine>>(shards: &[S]) -> EngineView {
+    let mut shards = shards.iter().map(|s| s.borrow().query_view());
+    // lint: panic-ok(sharded topologies have >= 1 shard by construction)
+    let mut view = shards.next().expect("at least one shard");
+    for shard_view in shards {
+        // lint: panic-ok(shards share one spec by construction; a mismatch is a construction bug, not input)
+        view.merge(&shard_view)
+            .expect("shards share one spec by construction");
+    }
+    view
+}
+
 impl QueryView for ShardedEngine {
     type View = EngineView;
 
@@ -464,20 +481,7 @@ impl QueryView for ShardedEngine {
     /// exactly one shard, so the union is exact — the merged view reports
     /// identically to the sharded engine's fat report.
     fn query_view(&self) -> EngineView {
-        let mut view: Option<EngineView> = None;
-        for shard in &self.shards {
-            let shard_view = shard.query_view();
-            match &mut view {
-                None => view = Some(shard_view),
-                Some(v) => {
-                    // lint: panic-ok(shards share one spec by construction; a mismatch is a construction bug, not input)
-                    v.merge(&shard_view)
-                        .expect("shards share one spec by construction");
-                }
-            }
-        }
-        // lint: panic-ok(sharded engines have >= 1 shard by construction)
-        view.expect("sharded engines have at least one shard")
+        merged_view(&self.shards)
     }
 }
 

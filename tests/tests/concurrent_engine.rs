@@ -10,8 +10,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use sketches::streamdb::{
-    Aggregate, CheckpointPolicy, ConcurrentEngine, DurableEngine, FaultPolicy, QuerySpec, Row,
-    ShardedEngine, SketchEngine, Value,
+    Aggregate, AggregateResult, CheckpointPolicy, ConcurrentEngine, DurableEngine, FaultPolicy,
+    QuerySpec, Row, ShardedEngine, SketchEngine, Value,
 };
 use sketches_workloads::serving::ServingWorkload;
 
@@ -131,6 +131,78 @@ fn readers_are_always_answered_during_ingest() {
         );
     }
     assert_eq!(engine.to_snapshot_bytes(), sharded.to_snapshot_bytes());
+}
+
+/// Views are cut on demand from the published snapshots, so a view read
+/// racing commits must see what every other read sees: each shard at a
+/// committed-batch boundary, moving only forward. The same batch is
+/// committed 20 times, so a group's COUNT in any view must be a whole
+/// multiple of its COUNT in one batch (a group lives in one shard; a torn
+/// or half-published shard would break the multiple), and the row total
+/// never goes down. Across shards a read may straddle the one batch being
+/// published — shard i has it, shard j not yet — so the *total* is pinned
+/// to a whole-batch boundary only where there is one shard to read.
+#[test]
+fn on_demand_views_are_monotone_and_batch_atomic_per_shard() {
+    let batch = serving_batches(71).swap_remove(0);
+    let mut one_batch = SketchEngine::new(spec()).expect("engine");
+    one_batch.process_batch(&batch).expect("seq");
+    let count_of = |report: Option<Vec<AggregateResult>>| match report.as_deref() {
+        Some([AggregateResult::Count(c), ..]) => *c,
+        None => 0,
+        other => panic!("COUNT is the first aggregate: {other:?}"),
+    };
+    let per_batch: Vec<(Vec<Value>, u64)> = one_batch
+        .groups()
+        .map(|key| {
+            (
+                key.clone(),
+                count_of(one_batch.report(key).expect("report")),
+            )
+        })
+        .collect();
+
+    for shards in [1, SHARDS] {
+        let engine = ConcurrentEngine::new(spec(), shards).expect("engine");
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut views = 0u64;
+                let mut last_rows = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let view = engine.query_view();
+                    let rows = view.rows_processed();
+                    assert!(
+                        rows >= last_rows,
+                        "view went backwards: {rows} < {last_rows}"
+                    );
+                    last_rows = rows;
+                    if shards == 1 {
+                        assert_eq!(rows % BATCH_ROWS as u64, 0, "torn batch in a view");
+                    }
+                    for (key, in_one_batch) in &per_batch {
+                        let seen = count_of(view.report(key).expect("view report"));
+                        assert_eq!(
+                            seen % in_one_batch,
+                            0,
+                            "group {key:?}: {seen} rows is not a whole number of batches"
+                        );
+                    }
+                    views += 1;
+                }
+                views
+            });
+            for _ in 0..NUM_BATCHES {
+                engine.submit_batch(batch.clone()).wait().expect("batch");
+            }
+            stop.store(true, Ordering::Relaxed);
+            assert!(reader.join().expect("reader thread") > 0);
+        });
+        assert_eq!(
+            engine.query_view().rows_processed(),
+            (NUM_BATCHES * BATCH_ROWS) as u64
+        );
+    }
 }
 
 /// Pipelined submission: enqueue every ticket before resolving any. The
@@ -381,16 +453,12 @@ fn shutdown_with_in_flight_submissions_resolves_every_ticket() {
     const BATCHES_PER_THREAD: usize = 6;
 
     let batches = serving_batches(211);
-    // Depth 1 keeps a real backlog queued at the coordinator so tickets
-    // are genuinely unresolved when the last handle drops.
+    // 48 submissions against the 32-deep submit queue keep a real backlog
+    // at the coordinator, so tickets are genuinely unresolved when the
+    // last handle drops.
     let engine = Arc::new(
-        ConcurrentEngine::with_config(
-            spec(),
-            sketches::streamdb::EngineConfig::default(),
-            SHARDS,
-            1,
-        )
-        .expect("engine"),
+        ConcurrentEngine::with_config(spec(), sketches::streamdb::EngineConfig::default(), SHARDS)
+            .expect("engine"),
     );
 
     let mut submitted_rows = 0u64;

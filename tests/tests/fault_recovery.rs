@@ -4,9 +4,10 @@
 //! row/shard/cause, and (4) leave the engine able to retry to a state
 //! byte-identical to a never-faulted baseline.
 
+use sketches::streamdb::metrics::names;
 use sketches::streamdb::{
-    silence_injected_panics, Aggregate, BatchCause, FaultInjector, FaultKind, FaultPolicy,
-    QuerySpec, Row, ShardedEngine, SketchEngine, Value,
+    silence_injected_panics, Aggregate, BatchCause, ConcurrentEngine, FaultInjector, FaultKind,
+    FaultPolicy, QuerySpec, Row, ShardedEngine, SketchEngine, StreamEngine, Value,
 };
 use sketches_workloads::faults::{FaultPlan, IngestFault};
 
@@ -185,7 +186,7 @@ fn sharded_merge_failure_names_the_shard_and_leaves_state_usable() {
     // Same shard count, different sketch seeds: shard 0's merge fails.
     let mut cfg = sketches::streamdb::EngineConfig::default();
     cfg.seed ^= 0xDEAD;
-    let b = ShardedEngine::with_config(spec(), cfg, 2, 1024).expect("engine");
+    let b = ShardedEngine::with_config(spec(), cfg, 2).expect("engine");
     let err = a.merge(&b).expect_err("incompatible merge");
     assert!(err.to_string().contains("shard 0"), "{err}");
     assert_eq!(
@@ -198,4 +199,96 @@ fn sharded_merge_failure_names_the_shard_and_leaves_state_usable() {
     a.process_batch(&rows(2, 100))
         .expect("ingest after failed merge");
     assert_eq!(a.rows_processed(), 300);
+}
+
+/// The drill surface the two sharded topologies expose beside
+/// [`StreamEngine`]: per-shard fault arming with the same shape.
+trait ShardDrill: StreamEngine {
+    fn build(shards: usize) -> Self;
+    fn arm(&mut self, shard: usize, injector: FaultInjector);
+    fn disarm(&mut self) -> Vec<(usize, FaultInjector)>;
+}
+
+macro_rules! shard_drill {
+    ($engine:ty) => {
+        impl ShardDrill for $engine {
+            fn build(shards: usize) -> Self {
+                // COUNT and SUM only: the drill counts attempts, and a
+                // cheap row keeps 40 rebuilds of a 20 000-row batch quick.
+                let spec =
+                    QuerySpec::new(vec![0], vec![Aggregate::Count, Aggregate::Sum { field: 2 }]);
+                <$engine>::new(spec.expect("valid spec"), shards).expect("engine")
+            }
+            fn arm(&mut self, shard: usize, injector: FaultInjector) {
+                self.arm_faults(shard, injector).expect("valid shard");
+            }
+            fn disarm(&mut self) -> Vec<(usize, FaultInjector)> {
+                self.disarm_faults()
+            }
+        }
+    };
+}
+shard_drill!(ShardedEngine);
+shard_drill!(ConcurrentEngine);
+
+/// Rows each shard of a fresh engine is routed out of `data`.
+fn routed<E: ShardDrill>(data: &[Row], shards: usize) -> Vec<u64> {
+    let mut engine = E::build(shards);
+    engine.process_batch(data).expect("clean rows");
+    let gauges = engine.metrics().gauges;
+    (0..shards)
+        .map(|i| gauges[&names::shard_rows_routed(i)])
+        .collect()
+}
+
+/// One body, both topologies: what every shard *attempted* of a failing
+/// batch is a function of the batch alone. Each shard is handed its whole
+/// slice up front, so a healthy shard attempts all of it and the failing
+/// one stops at its poison row (validation rejects that row before the
+/// injector is consulted) — however the threads interleave, on either
+/// topology. Before the batch was pre-partitioned, the router fed rows one
+/// by one and stopped when it noticed a hung-up worker, so the healthy
+/// shards' counts depended on scheduling.
+fn attempts_after_failed_batch_are_the_partition<E: ShardDrill>() -> Vec<u64> {
+    const SHARDS: usize = 4;
+    const POISON_AT: usize = 300;
+    let clean = rows(91, 20_000);
+    let mut batch = clean.clone();
+    batch.insert(
+        POISON_AT,
+        vec![Value::U64(5), Value::U64(0), Value::Str("NaN".into())],
+    );
+
+    let mut reference: Option<Vec<u64>> = None;
+    for rebuild in 0..20 {
+        let mut engine = E::build(SHARDS);
+        for shard in 0..SHARDS {
+            engine.arm(shard, FaultInjector::new());
+        }
+        let err = engine.process_batch(&batch).expect_err("poison row");
+        assert_eq!(err.row, Some(POISON_AT));
+        let failing = err.shard.expect("a shard rejected the row");
+        let attempts: Vec<u64> = engine
+            .disarm()
+            .into_iter()
+            .map(|(_, injector)| injector.attempts())
+            .collect();
+
+        let expected = reference.get_or_insert_with(|| {
+            let mut expected = routed::<E>(&clean, SHARDS);
+            let before_poison = routed::<E>(&clean[..POISON_AT], SHARDS)[failing];
+            assert!(before_poison < expected[failing], "poison row too late");
+            expected[failing] = before_poison;
+            expected
+        });
+        assert_eq!(&attempts, expected, "rebuild {rebuild}");
+    }
+    reference.expect("ran")
+}
+
+#[test]
+fn failed_batch_attempts_are_deterministic_on_both_topologies() {
+    let sharded = attempts_after_failed_batch_are_the_partition::<ShardedEngine>();
+    let concurrent = attempts_after_failed_batch_are_the_partition::<ConcurrentEngine>();
+    assert_eq!(sharded, concurrent);
 }

@@ -152,7 +152,7 @@ fn every_single_bit_flip_is_detected() {
 /// rejected with a typed `Corrupted` error.
 #[test]
 fn every_truncation_is_detected() {
-    let mut engine = ShardedEngine::with_config(full_spec(), tiny_config(), 3, 64).expect("engine");
+    let mut engine = ShardedEngine::with_config(full_spec(), tiny_config(), 3).expect("engine");
     let rows: Vec<Row> = (0..150u64)
         .map(|i| {
             vec![
