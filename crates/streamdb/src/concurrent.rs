@@ -24,8 +24,10 @@
 //! * **One published snapshot per shard, with epochs.** After every
 //!   committed batch (and every flush/merge) a worker publishes an
 //!   immutable `Arc<SketchEngine>` snapshot of its shard into a shared
-//!   slot and bumps the shard's epoch counter — the one O(state)
-//!   operation of a commit, and the only object writer and readers share.
+//!   slot and bumps the shard's epoch counter — the only object writer
+//!   and readers share. The snapshot shares every group's state with the
+//!   live shard by pointer; the worker copies a group the first time a
+//!   later batch writes it, never in place (see [`SketchEngine`]).
 //!   Every read goes through a [`ReadHandle`] (the engine owns one and
 //!   delegates): it clones the latest published `Arc`s (a pointer copy
 //!   under a lock held only for the swap/clone instant) and never touches
@@ -908,8 +910,10 @@ impl Drop for ConcurrentEngine {
     }
 }
 
-/// Publishes one shard's current state as a fresh immutable snapshot —
-/// the one O(state) operation of a commit.
+/// Publishes one shard's current state as a fresh immutable snapshot:
+/// O(groups) key clones and pointer copies, no sketch state — the deep
+/// copy of each group the batch touched was made once, during ingest, when
+/// the writer moved off the state the previous snapshot still holds.
 fn publish(shared: &Shared, shard_id: usize, shard: &SketchEngine) {
     let snap = Arc::new(shard.clone());
     *shared.published[shard_id].write() = snap;
@@ -1676,21 +1680,21 @@ mod tests {
     }
 
     /// Every read accessor of `$e` over the 9 groups of the stream below,
-    /// rendered comparable — written once for the three holders of the
-    /// same shards (engine, read handle, sharded engine).
+    /// rendered comparable — written once for the four holders of the
+    /// same state (engine, read handle, restored and re-fed sharded
+    /// engines). `state_bytes` is among them: it is a function of the
+    /// state, so a live shard, a published snapshot sharing its groups
+    /// and a restored copy all read the same number.
     macro_rules! reads {
         ($e:expr) => {{
             let e = &$e;
             let metrics = e.metrics();
             // What is left once the series only the concurrent topology
-            // exports are set aside — and resident bytes, which count
-            // `Vec` capacity and so differ between a live shard and the
-            // published clone of it.
+            // exports are set aside.
             let not_shared = |name: &String| {
                 name.starts_with("publish_")
                     || name == names::SUBMIT_QUEUE_DEPTH
                     || name == names::SNAPSHOTS_PUBLISHED
-                    || name == names::STATE_BYTES
             };
             let shared_series: Vec<(String, u64)> = metrics
                 .counters
@@ -1712,6 +1716,7 @@ mod tests {
                         .collect::<Vec<_>>(),
                     e.query_view().to_view_bytes(),
                     e.to_snapshot_bytes(),
+                    e.state_bytes(),
                 ),
                 (e.fault_policy(), e.dead_letters(), shared_series),
             )
@@ -1830,5 +1835,165 @@ mod tests {
         for t in &mut tickets {
             assert!(t.poll().expect("resolved by shutdown").is_ok());
         }
+    }
+
+    /// Where every group's state lives, by key — the pointer-equality
+    /// probe of the copy-on-write tests below.
+    type Addrs = std::collections::HashMap<Vec<Value>, usize>;
+
+    fn group_addrs<'a>(shards: impl IntoIterator<Item = &'a SketchEngine>) -> Addrs {
+        shards
+            .into_iter()
+            .flat_map(|e| e.groups.iter())
+            .map(|(key, state)| (key.clone(), Arc::as_ptr(state).cast::<u8>() as usize))
+            .collect()
+    }
+
+    /// Groups of `after` whose state is not at the address `before` had it.
+    fn moved(before: &Addrs, after: &Addrs) -> usize {
+        after
+            .iter()
+            .filter(|(key, addr)| before.get(*key) != Some(*addr))
+            .count()
+    }
+
+    /// A batch ending in a poison row, touching all 6 groups first.
+    fn poison_batch() -> Vec<Row> {
+        let mut batch = rows(18, 6);
+        batch.push(row![0u64, 1u64, "not-a-number"]);
+        batch
+    }
+
+    #[test]
+    fn held_clone_never_changes_and_failed_batches_restore_bytes() {
+        crate::fault::silence_injected_panics();
+        let mut eng = SketchEngine::new(spec()).unwrap();
+        eng.process_batch(&rows(60, 6)).unwrap();
+        let held = eng.clone();
+        let held_bytes = held.to_snapshot_bytes();
+
+        // Committed batches on groups the clone shares.
+        eng.process_batch(&rows(40, 4)).unwrap();
+        eng.process_batch(&rows(20, 2)).unwrap();
+        assert_eq!(held.to_snapshot_bytes(), held_bytes);
+
+        // A poison row after rows that touched shared groups (4, 5) and
+        // groups the writer already owns (0..4): all of it rolls back.
+        let before = eng.to_snapshot_bytes();
+        let err = eng.process_batch(&poison_batch()).unwrap_err();
+        assert!(matches!(err.cause, BatchCause::Row(_)));
+        assert_eq!(eng.to_snapshot_bytes(), before);
+        assert_eq!(held.to_snapshot_bytes(), held_bytes);
+
+        // The same through a contained panic, new groups included.
+        eng.arm_faults(FaultInjector::new().at(15, FaultKind::Panic));
+        let err = eng.process_batch(&rows(30, 8)).unwrap_err();
+        assert!(matches!(err.cause, BatchCause::WorkerPanic(_)));
+        eng.disarm_faults();
+        assert_eq!(eng.to_snapshot_bytes(), before);
+        assert_eq!(held.to_snapshot_bytes(), held_bytes);
+
+        // The writer carries on as if it had never been cloned or failed.
+        eng.process_batch(&rows(30, 8)).unwrap();
+        assert_eq!(held.to_snapshot_bytes(), held_bytes);
+        let mut baseline = SketchEngine::new(spec()).unwrap();
+        for (n, groups) in [(60, 6), (40, 4), (20, 2), (30, 8)] {
+            baseline.process_batch(&rows(n, groups)).unwrap();
+        }
+        assert_eq!(eng.to_snapshot_bytes(), baseline.to_snapshot_bytes());
+        // And the clone is a whole engine: writing it leaves the writer be.
+        let eng_bytes = eng.to_snapshot_bytes();
+        let mut held = held;
+        held.process_batch(&rows(12, 6)).unwrap();
+        assert_ne!(held.to_snapshot_bytes(), held_bytes);
+        assert_eq!(eng.to_snapshot_bytes(), eng_bytes);
+    }
+
+    #[test]
+    fn a_batch_copies_exactly_the_shared_groups_it_touches() {
+        let mut eng = SketchEngine::new(spec()).unwrap();
+        eng.process_batch(&rows(60, 6)).unwrap();
+
+        // Nobody else holds the groups: the undo log takes a private copy
+        // and the commit leaves every group where it was.
+        let at = group_addrs([&eng]);
+        eng.process_batch(&rows(40, 4)).unwrap();
+        assert_eq!(moved(&at, &group_addrs([&eng])), 0);
+
+        // A clone is n pointer copies; a batch touching k of the n groups
+        // moves the writer off exactly those k.
+        let held = eng.clone();
+        let shared = group_addrs([&held]);
+        assert_eq!(moved(&shared, &group_addrs([&eng])), 0);
+        eng.process_batch(&rows(40, 4)).unwrap();
+        assert_eq!(moved(&shared, &group_addrs([&eng])), 4);
+        assert_eq!(moved(&shared, &group_addrs([&held])), 0);
+        // It owns those now, so the next batch on them copies nothing.
+        let at = group_addrs([&eng]);
+        eng.process_batch(&rows(40, 4)).unwrap();
+        assert_eq!(moved(&at, &group_addrs([&eng])), 0);
+        // A rollback puts the shared pointers back where the batch moved
+        // off them (groups 4 and 5).
+        eng.process_batch(&poison_batch()).unwrap_err();
+        assert_eq!(moved(&shared, &group_addrs([&eng])), 4);
+
+        // The same count through publish: epoch n+1 differs from epoch n
+        // in the k groups the batch touched, and shares the other n - k.
+        let conc = ConcurrentEngine::new(spec(), 2).unwrap();
+        conc.submit_batch(rows(60, 6)).wait().unwrap();
+        let epoch_n = conc.reads.published();
+        conc.submit_batch(rows(30, 3)).wait().unwrap();
+        let epoch_n1 = conc.reads.published();
+        let (old, new) = (
+            group_addrs(epoch_n.iter().map(|s| &**s)),
+            group_addrs(epoch_n1.iter().map(|s| &**s)),
+        );
+        assert_eq!(new.len(), 6);
+        assert_eq!(moved(&old, &new), 3);
+    }
+
+    #[test]
+    fn readers_walk_groups_the_writer_is_copying_away_from() {
+        // 24 rows over 4 groups: every committed batch adds 6 to each
+        // group's COUNT, so any other count is a torn read.
+        let per_batch = 6u64;
+        let conc = ConcurrentEngine::new(spec(), 2).unwrap();
+        let reader = conc.reader();
+        // Rendezvous: each batch is submitted only once the reader has
+        // started another pass, so commits and walks overlap.
+        let (pass_tx, pass_rx) = channel::bounded::<()>(0);
+        let walker = std::thread::spawn(move || {
+            let whole = |report: Option<Vec<AggregateResult>>| match report.as_deref() {
+                Some([AggregateResult::Count(c), ..]) => {
+                    assert!(*c > 0 && c % per_batch == 0, "torn count {c}");
+                }
+                Some(other) => panic!("unexpected report {other:?}"),
+                None => {}
+            };
+            let mut passes = 0u32;
+            loop {
+                let last = pass_tx.send(()).is_err();
+                for g in 0..4u64 {
+                    whole(reader.report(&row![g]).unwrap());
+                }
+                let decoded = ShardedEngine::from_snapshot_bytes(&reader.to_snapshot_bytes())
+                    .expect("published snapshot decodes");
+                for g in 0..4u64 {
+                    whole(decoded.report(&row![g]).unwrap());
+                }
+                passes += 1;
+                if last {
+                    return (passes, decoded.rows_processed());
+                }
+            }
+        });
+        for _ in 0..20 {
+            pass_rx.recv().expect("walker alive");
+            conc.submit_batch(rows(24, 4)).wait().unwrap();
+        }
+        drop(pass_rx);
+        let (passes, final_rows) = walker.join().expect("walker thread");
+        assert!(passes > 20);
+        assert_eq!(final_rows, 20 * 4 * per_batch);
     }
 }

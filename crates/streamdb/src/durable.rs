@@ -713,10 +713,8 @@ impl<E: StreamEngine> DurableEngine<E> {
                 "durable store is poisoned after a persistence failure; recover() from disk",
             ));
         }
-        self.checkpoint_with_metrics(None, "forced").map_err(|e| {
-            self.poisoned = true;
-            e
-        })
+        self.checkpoint_with_metrics(None, "forced")
+            .inspect_err(|_| self.poisoned = true)
     }
 
     /// Finishes a tumbling window — the wrapped engine's
@@ -733,10 +731,8 @@ impl<E: StreamEngine> DurableEngine<E> {
             ));
         }
         let window = self.engine.flush_window()?;
-        self.checkpoint_with_metrics(None, "window").map_err(|e| {
-            self.poisoned = true;
-            e
-        })?;
+        self.checkpoint_with_metrics(None, "window")
+            .inspect_err(|_| self.poisoned = true)?;
         Ok(window)
     }
 

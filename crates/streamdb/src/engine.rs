@@ -3,6 +3,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use sketches_cardinality::HyperLogLogPlusPlus;
 use sketches_core::{
@@ -73,6 +74,10 @@ impl Default for EngineConfig {
 
 /// A GROUP BY engine maintaining one set of sketches per group — the
 /// "huge numbers of sketches in parallel" design of the ISP-era systems.
+///
+/// `Clone` is shallow with isolation: the copy shares every group's state
+/// by pointer, and whichever side writes a shared group first moves to its
+/// own copy of it (copy-on-write), so neither can observe the other.
 #[derive(Debug, Clone)]
 pub struct SketchEngine {
     pub(crate) spec: QuerySpec,
@@ -80,7 +85,10 @@ pub struct SketchEngine {
     /// Pristine per-group state, validated at construction and cloned for
     /// each new group (cheaper and simpler than re-validating per group).
     template: Vec<AggState>,
-    pub(crate) groups: HashMap<Vec<Value>, Vec<AggState>>,
+    /// One allocation per group behind a shared pointer; every write goes
+    /// through `Arc::make_mut`, so a clone, a published snapshot and an
+    /// undo log are pointers into this map rather than copies of it.
+    pub(crate) groups: HashMap<Vec<Value>, Arc<[AggState]>>,
     /// Reusable key-projection buffer so the hot path can look up the
     /// group by slice (`Vec<Value>: Borrow<[Value]>`) without allocating a
     /// fresh key `Vec` per row; surrendered to the map only on the first
@@ -104,10 +112,12 @@ pub struct SketchEngine {
 /// Incremental undo log for one in-flight batch: only groups the batch
 /// touches are saved (`Some` = pre-batch state to restore, `None` = group
 /// created by this batch, to delete), so checkpoint cost scales with the
-/// batch's group footprint rather than the whole engine.
+/// batch's group footprint rather than the whole engine. A saved state is
+/// the pre-batch pointer itself when anyone else also holds it, and a
+/// private copy when nobody does (see [`SketchEngine::ingest_row`]).
 #[derive(Debug, Clone, Default)]
 struct BatchCheckpoint {
-    touched: HashMap<Vec<Value>, Option<Vec<AggState>>>,
+    touched: HashMap<Vec<Value>, Option<Arc<[AggState]>>>,
     rows_processed: u64,
     dead_count: u64,
     dead_samples: usize,
@@ -284,22 +294,30 @@ impl SketchEngine {
         self.key_scratch
             .extend(self.spec.group_by.iter().map(|&i| row[i].clone()));
         // Transactional bookkeeping: the first time a batch touches a
-        // group, save its pre-batch state (or note it is brand new).
+        // group, save its pre-batch state (or note it is brand new). If
+        // anyone else holds that state (a published snapshot, a clone, a
+        // merged-in engine) the pointer is the undo copy and `make_mut`
+        // below moves the writer off it; if nobody does, save a private
+        // copy and keep writing in place. Race-free: nobody but this
+        // engine's owner can reach a count-1 group, and a count that drops
+        // after the test leaves the log's own reference forcing the copy.
         if let Some(cp) = &mut self.checkpoint {
             if !cp.touched.contains_key(self.key_scratch.as_slice()) {
-                cp.touched.insert(
-                    self.key_scratch.clone(),
-                    self.groups.get(self.key_scratch.as_slice()).cloned(),
-                );
+                let live = self.groups.get(self.key_scratch.as_slice());
+                let saved = live.map(|st| match Arc::strong_count(st) {
+                    1 => Arc::from(&st[..]),
+                    _ => Arc::clone(st),
+                });
+                cp.touched.insert(self.key_scratch.clone(), saved);
             }
         }
         if let Some(state) = self.groups.get_mut(self.key_scratch.as_slice()) {
-            Self::apply(&self.spec, state, row);
+            Self::apply(&self.spec, Arc::make_mut(state), row);
         } else {
             let key = std::mem::take(&mut self.key_scratch);
-            let template = &self.template;
-            let state = self.groups.entry(key).or_insert_with(|| template.clone());
-            Self::apply(&self.spec, state, row);
+            let fresh = Arc::from(&self.template[..]);
+            let state = self.groups.entry(key).or_insert(fresh);
+            Self::apply(&self.spec, Arc::make_mut(state), row);
         }
         self.rows_processed += 1;
         if self.metrics.enabled {
@@ -517,7 +535,7 @@ impl SketchEngine {
         };
         // First FREQUENCY aggregate answers (specs wanting several fields
         // query the view, which exposes every position).
-        for st in state {
+        for st in state.iter() {
             if let AggState::Frequency(sf) = st {
                 return Ok(Some(sf.estimate(item)));
             }
@@ -637,7 +655,7 @@ impl SketchEngine {
                     self.groups.insert(key.clone(), other_state.clone());
                 }
                 Some(state) => {
-                    for (a, b) in state.iter_mut().zip(other_state) {
+                    for (a, b) in Arc::make_mut(state).iter_mut().zip(other_state.iter()) {
                         match (a, b) {
                             (AggState::Count(x), AggState::Count(y)) => *x += y,
                             (AggState::Sum(x), AggState::Sum(y)) => *x += y,
@@ -714,7 +732,7 @@ impl SketchEngine {
                 write_value(v, w);
             }
             let state = &self.groups[key];
-            for st in state {
+            for st in state.iter() {
                 write_agg_state(st, w);
             }
         }
@@ -748,10 +766,10 @@ impl SketchEngine {
                     "engine groups not in strictly ascending key order",
                 ));
             }
-            let mut state = Vec::with_capacity(aggregates.len());
-            for agg in &aggregates {
-                state.push(read_agg_state(agg, &engine.config, r)?);
-            }
+            let state = aggregates
+                .iter()
+                .map(|agg| read_agg_state(agg, &engine.config, r))
+                .collect::<SketchResult<Arc<[AggState]>>>()?;
             prev_key = Some(key.clone());
             engine.groups.insert(key, state);
         }
@@ -759,7 +777,10 @@ impl SketchEngine {
         Ok(engine)
     }
 
-    /// Total sketch memory across groups.
+    /// Total sketch memory across groups — a function of the state alone:
+    /// every aggregate is charged by what it retains, never by allocator
+    /// capacity, so a live engine, a clone, a published snapshot and a
+    /// restored engine holding the same state all read the same number.
     #[must_use]
     pub fn state_bytes(&self) -> usize {
         self.groups
@@ -768,7 +789,7 @@ impl SketchEngine {
                 state.iter().map(|st| match st {
                     AggState::Count(_) | AggState::Sum(_) => 8,
                     AggState::CountDistinct(h) => h.space_bytes(),
-                    AggState::Quantiles(q) => q.space_bytes(),
+                    AggState::Quantiles(q) => q.retained() * std::mem::size_of::<f64>(),
                     AggState::TopK { sketch, .. } => sketch.space_bytes(),
                     AggState::Frequency(sf) => sf.space_bytes(),
                 })

@@ -223,3 +223,113 @@ proptest! {
         }
     }
 }
+
+/// Copy-on-write group state against a model that shares nothing: the
+/// engine under test hands out `clone()`s (shallow — they share group
+/// state with it by pointer) where the model deep-copies through snapshot
+/// bytes. Under any schedule of commits, rollbacks, clones, drops, merges
+/// and window flushes the two must stay byte-identical, live engine and
+/// every held copy alike — sharing must never be observable.
+mod cow_group_state {
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use sketches::streamdb::{Aggregate, QuerySpec, Row, SketchEngine, Value};
+
+    fn spec() -> QuerySpec {
+        QuerySpec::new(
+            vec![0],
+            vec![
+                Aggregate::Count,
+                Aggregate::Sum { field: 2 },
+                Aggregate::CountDistinct { field: 1 },
+                Aggregate::Quantiles { field: 2 },
+                Aggregate::TopK { field: 1, k: 3 },
+            ],
+        )
+        .expect("valid spec")
+    }
+
+    /// `n` rows over at most 6 groups, starting at group `first`.
+    fn batch(first: u64, n: u64) -> Vec<Row> {
+        (0..n)
+            .map(|i| {
+                vec![
+                    Value::U64((first + i) % 6),
+                    Value::U64((first * 31 + i * 7) % 53),
+                    Value::F64(((first + i * 13) % 100) as f64),
+                ]
+            })
+            .collect()
+    }
+
+    fn deep_copy(engine: &SketchEngine) -> SketchEngine {
+        SketchEngine::from_snapshot_bytes(&engine.to_snapshot_bytes()).expect("own bytes decode")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn sharing_is_never_observable(
+            schedule in vec((0u8..7, 0u64..6, 1u64..40), 1..40),
+        ) {
+            let mut live = SketchEngine::new(spec()).expect("engine");
+            let mut model = SketchEngine::new(spec()).expect("engine");
+            let mut held: Vec<SketchEngine> = Vec::new();
+            let mut held_model: Vec<SketchEngine> = Vec::new();
+            for (step, &(op, a, n)) in schedule.iter().enumerate() {
+                let pick = a as usize % held.len().max(1);
+                match op {
+                    // A good batch commits on both.
+                    0 | 1 => {
+                        let rows = batch(a, n);
+                        prop_assert!(live.process_batch(&rows).is_ok());
+                        prop_assert!(model.process_batch(&rows).is_ok());
+                    }
+                    // A poison batch rolls back on both.
+                    2 => {
+                        let mut rows = batch(a, n);
+                        rows.push(vec![Value::U64(a), Value::U64(1), Value::from("poison")]);
+                        prop_assert!(live.process_batch(&rows).is_err());
+                        prop_assert!(model.process_batch(&rows).is_err());
+                    }
+                    // Clone and hold / deep-copy and hold.
+                    3 => {
+                        held.push(live.clone());
+                        held_model.push(deep_copy(&model));
+                    }
+                    // Drop a held copy: its groups become the writer's alone.
+                    4 if !held.is_empty() => {
+                        held.swap_remove(pick);
+                        held_model.swap_remove(pick);
+                    }
+                    // Merge a held copy in: groups the live engine lacks
+                    // arrive as shared pointers.
+                    5 if !held.is_empty() => {
+                        prop_assert!(live.merge(&held[pick]).is_ok());
+                        prop_assert!(model.merge(&held_model[pick]).is_ok());
+                    }
+                    6 => {
+                        prop_assert_eq!(
+                            live.flush_window().expect("flush"),
+                            model.flush_window().expect("flush")
+                        );
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(
+                    live.to_snapshot_bytes(),
+                    model.to_snapshot_bytes(),
+                    "live engine diverged at step {} (op {})", step, op
+                );
+                for (i, (h, m)) in held.iter().zip(&held_model).enumerate() {
+                    prop_assert_eq!(
+                        h.to_snapshot_bytes(),
+                        m.to_snapshot_bytes(),
+                        "held copy {} changed at step {} (op {})", i, step, op
+                    );
+                }
+            }
+        }
+    }
+}
