@@ -3,7 +3,8 @@
 use std::fmt;
 use std::path::PathBuf;
 
-/// The nine lint classes. See `DESIGN.md` §7 for the full policy.
+/// The eight lint classes (`L5` is retired: rustc's `missing_docs` does
+/// its job). See `DESIGN.md` §7 for the full policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// Unordered `HashMap`/`HashSet` iteration on a report path.
@@ -14,8 +15,6 @@ pub enum Rule {
     L3ForbidUnsafe,
     /// Ambient randomness or wall-clock time in a sketch crate.
     L4SeededOnly,
-    /// Public item without a doc comment.
-    L5MissingDocs,
     /// Blocking operation or user-closure call while a lock guard is live.
     L6GuardHygiene,
     /// Lock-acquisition cycle across the workspace (potential deadlock).
@@ -27,7 +26,8 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// Short stable identifier (`L1` … `L5`).
+    /// Short stable identifier (`L1` … `L9`; a retired rule's id is never
+    /// reused).
     #[must_use]
     pub fn id(self) -> &'static str {
         match self {
@@ -35,7 +35,6 @@ impl Rule {
             Self::L2PanicFree => "L2",
             Self::L3ForbidUnsafe => "L3",
             Self::L4SeededOnly => "L4",
-            Self::L5MissingDocs => "L5",
             Self::L6GuardHygiene => "L6",
             Self::L7LockOrder => "L7",
             Self::L8ChannelDiscipline => "L8",
@@ -51,7 +50,6 @@ impl Rule {
             Self::L2PanicFree => "panic-free",
             Self::L3ForbidUnsafe => "forbid-unsafe",
             Self::L4SeededOnly => "seeded-only",
-            Self::L5MissingDocs => "missing-docs",
             Self::L6GuardHygiene => "guard-hygiene",
             Self::L7LockOrder => "lock-ordering",
             Self::L8ChannelDiscipline => "channel-discipline",
@@ -67,7 +65,6 @@ impl Rule {
             Self::L2PanicFree => Some("panic-ok"),
             Self::L3ForbidUnsafe => Some("unsafe-audited"),
             Self::L4SeededOnly => Some("nondeterminism-ok"),
-            Self::L5MissingDocs => Some("undocumented-ok"),
             Self::L6GuardHygiene => Some("guard-scope"),
             Self::L7LockOrder => Some("lock-order-ok"),
             Self::L8ChannelDiscipline => Some("channel-ok"),
@@ -96,10 +93,6 @@ impl Rule {
                  randomness and time flow through explicit seeds (sketches-hash); \
                  escape: `// lint: nondeterminism-ok(reason)`"
             }
-            Self::L5MissingDocs => {
-                "public items carry doc comments \
-                 (escape: `// lint: undocumented-ok(reason)`)"
-            }
             Self::L6GuardHygiene => {
                 "no blocking operation (send/recv/wait/join/fsync/sync_all) and no \
                  user-supplied closure call while a lock guard is live in scope \
@@ -124,12 +117,11 @@ impl Rule {
     }
 
     /// All rules, in order.
-    pub const ALL: [Rule; 9] = [
+    pub const ALL: [Rule; 8] = [
         Self::L1SortedIteration,
         Self::L2PanicFree,
         Self::L3ForbidUnsafe,
         Self::L4SeededOnly,
-        Self::L5MissingDocs,
         Self::L6GuardHygiene,
         Self::L7LockOrder,
         Self::L8ChannelDiscipline,

@@ -1,4 +1,4 @@
-//! The five lint rules and the shared per-file token analysis they run on.
+//! The per-file lint rules and the shared token analysis they run on.
 //!
 //! Every rule works on a [`FileContext`]: the token stream plus masks that
 //! answer "is this token test code?", "which function is it in?", "is it in
@@ -11,7 +11,6 @@ mod l1_sorted_iteration;
 mod l2_panic_free;
 mod l3_forbid_unsafe;
 mod l4_seeded_only;
-mod l5_missing_docs;
 mod l6_guard_hygiene;
 pub(crate) mod l7_lock_order;
 mod l8_channel_discipline;
@@ -116,7 +115,6 @@ pub fn run_all(ctx: &FileContext<'_>) -> Vec<Finding> {
             out.extend(l2_panic_free::check(ctx));
             out.extend(l3_forbid_unsafe::check(ctx));
             out.extend(l4_seeded_only::check(ctx));
-            out.extend(l5_missing_docs::check(ctx));
             out.extend(l6_guard_hygiene::check(ctx));
             out.extend(l8_channel_discipline::check(ctx));
             out.extend(l9_drop_safety::check(ctx));

@@ -126,16 +126,6 @@ fn l4_clock_impl_pair() {
 }
 
 #[test]
-fn l5_missing_docs_pair() {
-    assert_pair(
-        Rule::L5MissingDocs,
-        "l5_violation.rs",
-        "l5_suppressed.rs",
-        false,
-    );
-}
-
-#[test]
 fn l6_guard_hygiene_pair() {
     assert_pair(
         Rule::L6GuardHygiene,

@@ -9,13 +9,18 @@
 //!
 //! * **Long-lived shard workers.** N worker threads, each *owning* a
 //!   complete [`SketchEngine`] shard for the engine's whole lifetime
-//!   (not scoped per batch). A coordinator thread serializes mutating
-//!   commands and runs the batch protocol it shares with
-//!   [`ShardedEngine`] — the same prevalidation, partition into per-shard
-//!   row-index lists, supervised ingest, and commit-or-roll-back-all — so
-//!   per-group results stay *identical* to the sequential engine. Only
-//!   "hand each worker its list" and "tell every worker to commit or roll
-//!   back" are written here.
+//!   (not scoped per batch). A worker is a thread that runs closures on
+//!   its shard, in the order they arrive — there is no command
+//!   vocabulary to extend. A coordinator thread serializes mutating calls
+//!   (each one a closure it runs on itself, FIFO with ingest) and runs the
+//!   batch protocol it shares with [`ShardedEngine`] — the same
+//!   prevalidation, partition into per-shard row-index lists, supervised
+//!   ingest, and commit-or-roll-back-all — so per-group results stay
+//!   *identical* to the sequential engine. "Hand each worker its list" and
+//!   "tell every worker to commit or roll back" are both `Workers::ask`,
+//!   like every other thing a worker is ever asked to do; a worker
+//!   publishes, when the closure changed visible state, *before* it
+//!   replies.
 //! * **Submit/poll ingest.** [`ConcurrentEngine::submit_batch`] takes
 //!   `&self`, enqueues the batch, and returns a [`BatchTicket`];
 //!   [`BatchTicket::poll`] / [`BatchTicket::wait`] resolve it to the same
@@ -90,9 +95,9 @@ use crate::view::{merged_view, EngineView};
 /// many batches plus the one being resolved can be invisible to readers.
 const SUBMIT_QUEUE_DEPTH: usize = 32;
 
-/// Capacity of each worker's command channel. Commands are coarse (one
-/// per batch phase), so a small buffer keeps the coordinator from
-/// blocking on hand-off without queueing meaningful work.
+/// Capacity of each worker's op channel. Ops are coarse (one per batch
+/// phase), so a small buffer keeps the coordinator from blocking on
+/// hand-off without queueing meaningful work.
 const WORKER_CMD_DEPTH: usize = 4;
 
 /// How often a blocking [`BatchTicket::wait`] re-checks the poisoned
@@ -100,9 +105,6 @@ const WORKER_CMD_DEPTH: usize = 4;
 /// waits a full tick; the tick only bounds how long a wait on a *dead*
 /// engine can linger before it resolves to the typed poisoned error.
 const POISON_POLL: Duration = Duration::from_millis(25);
-
-/// The ascending-key window listing both flush paths resolve to.
-type WindowRows = Vec<(Vec<Value>, Vec<AggregateResult>)>;
 
 /// The typed error every ticket and mutating call resolves to once the
 /// engine is poisoned (a worker or coordinator thread died).
@@ -146,9 +148,9 @@ struct Shared {
     poisoned: AtomicBool,
 }
 
-/// Jobs the engine handle sends to the coordinator thread. One bounded
-/// queue serializes all mutations, so job effects are applied (and
-/// published) in submission order.
+/// What the engine handle queues for the coordinator thread. One bounded
+/// queue serializes all mutations, so effects are applied (and published)
+/// in submission order.
 enum Job {
     Ingest {
         rows: Vec<Row>,
@@ -161,83 +163,18 @@ enum Job {
         submitted_at: Option<u64>,
         done: channel::Sender<Result<BatchSummary, BatchError>>,
     },
-    FlushWindow {
-        done: channel::Sender<SketchResult<WindowRows>>,
-    },
-    MergeFrom {
-        // Boxed: the inline dead-letter + metrics payload would dominate
-        // the Job enum's size, bloating every queued ingest.
-        state: Box<(Vec<Arc<SketchEngine>>, Router)>,
-        done: channel::Sender<SketchResult<()>>,
-    },
-    SetPolicy {
-        policy: FaultPolicy,
-        done: channel::Sender<()>,
-    },
-    ArmFaults {
-        shard: usize,
-        injector: FaultInjector,
-        done: channel::Sender<SketchResult<()>>,
-    },
-    DisarmFaults {
-        done: channel::Sender<Vec<(usize, FaultInjector)>>,
-    },
-    SetMetricsEnabled {
-        enabled: bool,
-        done: channel::Sender<()>,
-    },
-    SetClock {
-        clock: Arc<dyn Clock>,
-        done: channel::Sender<()>,
-    },
+    /// Everything else a handle method needs done: a closure the
+    /// coordinator runs on itself (see [`ConcurrentEngine::control`]).
+    Control(Box<dyn FnOnce(&mut Coordinator) + Send>),
     /// Drill hook: the coordinator panics in place (sudden death), which
     /// its supervisor turns into engine poisoning.
     Crash,
     Shutdown,
 }
 
-/// Commands the coordinator sends to one shard worker.
-enum Cmd {
-    Ingest {
-        rows: Arc<Vec<Row>>,
-        /// This shard's rows of the batch, by index, in batch order.
-        indices: Vec<usize>,
-        outcome: channel::Sender<(usize, WorkerOutcome)>,
-    },
-    Commit {
-        ack: channel::Sender<()>,
-    },
-    Rollback {
-        ack: channel::Sender<()>,
-    },
-    FlushWindow {
-        done: channel::Sender<SketchResult<WindowRows>>,
-    },
-    Merge {
-        other: Arc<SketchEngine>,
-        done: channel::Sender<SketchResult<()>>,
-    },
-    SetPolicy {
-        policy: FaultPolicy,
-        ack: channel::Sender<()>,
-    },
-    ArmFaults {
-        injector: FaultInjector,
-        ack: channel::Sender<()>,
-    },
-    DisarmFaults {
-        done: channel::Sender<Option<FaultInjector>>,
-    },
-    SetMetricsEnabled {
-        enabled: bool,
-        ack: channel::Sender<()>,
-    },
-    SetClock {
-        clock: Arc<dyn Clock>,
-        ack: channel::Sender<()>,
-    },
-    Shutdown,
-}
+/// What a shard worker runs: a closure over the shard it owns and the
+/// worker's own publish step (see [`Workers::ask`], which builds them all).
+type ShardOp = Box<dyn FnOnce(&mut SketchEngine, &dyn Fn(&SketchEngine)) + Send>;
 
 /// A pending batch: resolves to the same summary/error the synchronous
 /// engines report, once the coordinator has committed or rolled back.
@@ -384,17 +321,20 @@ impl ConcurrentEngine {
             poisoned: AtomicBool::new(false),
         });
 
-        let mut worker_txs = Vec::with_capacity(shards.len());
-        let mut worker_handles = Vec::with_capacity(shards.len());
+        let mut workers = Workers {
+            txs: Vec::with_capacity(shards.len()),
+            handles: Vec::with_capacity(shards.len()),
+            shared: Arc::clone(&shared),
+        };
         for (shard_id, shard) in shards.into_iter().enumerate() {
-            let (cmd_tx, cmd_rx) = channel::bounded::<Cmd>(WORKER_CMD_DEPTH);
-            worker_txs.push(cmd_tx);
+            let (op_tx, op_rx) = channel::bounded::<ShardOp>(WORKER_CMD_DEPTH);
+            workers.txs.push(op_tx);
             let worker_shared = Arc::clone(&shared);
-            worker_handles.push(std::thread::spawn(move || {
+            workers.handles.push(std::thread::spawn(move || {
                 let poison_on_exit = Arc::clone(&worker_shared);
                 // lint: panic-boundary(worker supervisor: a dying shard worker must poison the engine, not abort the process)
                 let caught = catch_unwind(AssertUnwindSafe(move || {
-                    worker_main(shard, shard_id, &worker_shared, &cmd_rx);
+                    worker_main(shard, shard_id, &worker_shared, &op_rx);
                 }));
                 if caught.is_err() {
                     poison_on_exit.poisoned.store(true, Ordering::Release);
@@ -405,12 +345,7 @@ impl ConcurrentEngine {
         let (submit_tx, submit_rx) = channel::bounded::<Job>(SUBMIT_QUEUE_DEPTH);
         let coordinator_shared = Arc::clone(&shared);
         let coordinator = std::thread::spawn(move || {
-            let mut coordinator = Coordinator {
-                router,
-                worker_txs,
-                worker_handles,
-                shared: Arc::clone(&coordinator_shared),
-            };
+            let mut coordinator = Coordinator { router, workers };
             // lint: panic-boundary(coordinator supervisor: a dying coordinator must poison the engine, not abort the process)
             let caught = catch_unwind(AssertUnwindSafe(move || coordinator.run(&submit_rx)));
             if caught.is_err() {
@@ -508,6 +443,27 @@ impl ConcurrentEngine {
         let _ = self.submit_tx.send(Job::Crash);
     }
 
+    /// Runs `f` on the coordinator thread and returns what it returned:
+    /// the one round trip behind every blocking mutator. The closure
+    /// queues FIFO with ingest — every batch submitted before this call
+    /// is resolved first — and the router is republished before the
+    /// answer comes back, so whatever `f` changed there (policy, clock,
+    /// dead letters) is visible to reads and to the next submit. `None`
+    /// when the coordinator is gone: the queue or the reply disconnected.
+    fn control<T: Send + 'static>(
+        &self,
+        f: impl FnOnce(&mut Coordinator) -> T + Send + 'static,
+    ) -> Option<T> {
+        let (reply_tx, reply_rx) = channel::bounded(1);
+        let job = Job::Control(Box::new(move |coordinator| {
+            let reply = f(coordinator);
+            coordinator.publish_router();
+            let _ = reply_tx.send(reply);
+        }));
+        self.submit_tx.send(job).ok()?;
+        reply_rx.recv().ok()
+    }
+
     /// The slim query-side view of the latest published epoch, cut on
     /// demand — see [`ReadHandle::query_view`].
     #[must_use]
@@ -566,17 +522,11 @@ impl ConcurrentEngine {
     /// mirrored it into every worker (so the next submitted batch sees
     /// it). No-op on a poisoned engine.
     pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
-        let (done_tx, done_rx) = channel::bounded(1);
-        if self
-            .submit_tx
-            .send(Job::SetPolicy {
-                policy,
-                done: done_tx,
-            })
-            .is_ok()
-        {
-            let _ = done_rx.recv();
-        }
+        self.control(move |c| {
+            c.router.set_fault_policy(policy);
+            c.workers
+                .on_shards(move |_, s| (s.set_fault_policy(policy), false));
+        });
     }
 
     /// Aggregated dead letters of the latest published epoch: router
@@ -593,67 +543,52 @@ impl ConcurrentEngine {
     /// Returns an error if `shard` is out of range or the engine is
     /// poisoned.
     pub fn arm_faults(&mut self, shard: usize, injector: FaultInjector) -> SketchResult<()> {
-        let (done_tx, done_rx) = channel::bounded(1);
-        if self
-            .submit_tx
-            .send(Job::ArmFaults {
-                shard,
-                injector,
-                done: done_tx,
-            })
-            .is_err()
-        {
-            return Err(poisoned_sketch_error());
-        }
-        done_rx
-            .recv()
-            .unwrap_or_else(|_| Err(poisoned_sketch_error()))
+        self.control(move |c| {
+            let num = c.workers.txs.len();
+            if shard >= num {
+                return Err(SketchError::invalid(
+                    "shard",
+                    format!("no shard {shard} (of {num})"),
+                ));
+            }
+            let armed = c.workers.ask(shard, |s| (s.arm_faults(injector), false));
+            c.workers.reply(armed).ok_or_else(poisoned_sketch_error)
+        })
+        .unwrap_or_else(|| Err(poisoned_sketch_error()))
     }
 
     /// Disarms the fault injectors on every shard worker, returning each
     /// armed injector with its shard index (empty on a poisoned engine).
     pub fn disarm_faults(&mut self) -> Vec<(usize, FaultInjector)> {
-        let (done_tx, done_rx) = channel::bounded(1);
-        if self
-            .submit_tx
-            .send(Job::DisarmFaults { done: done_tx })
-            .is_err()
-        {
-            return Vec::new();
-        }
-        done_rx.recv().unwrap_or_default()
+        self.control(|c| c.workers.on_shards(|_, s| (s.disarm_faults(), false)))
+            .flatten()
+            .unwrap_or_default()
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, injector)| Some((i, injector?)))
+            .collect()
     }
 
     /// Enables or disables metric recording on the router and every
     /// worker (on by default). No-op on a poisoned engine.
     pub fn set_metrics_enabled(&mut self, enabled: bool) {
-        let (done_tx, done_rx) = channel::bounded(1);
-        if self
-            .submit_tx
-            .send(Job::SetMetricsEnabled {
-                enabled,
-                done: done_tx,
-            })
-            .is_ok()
-        {
-            let _ = done_rx.recv();
-        }
+        self.control(move |c| {
+            c.router.metrics.enabled = enabled;
+            c.workers
+                .on_shards(move |_, s| (s.set_metrics_enabled(enabled), false));
+        });
     }
 
     /// Installs the time source behind the batch-latency histograms on
-    /// the router and every worker. No-op on a poisoned engine.
+    /// the router and every worker (the submit path reads the published
+    /// router's clock for its queue-wait stamps, and sees the new one as
+    /// soon as this returns). No-op on a poisoned engine.
     pub fn set_clock(&mut self, clock: Arc<dyn Clock>) {
-        let (done_tx, done_rx) = channel::bounded(1);
-        if self
-            .submit_tx
-            .send(Job::SetClock {
-                clock,
-                done: done_tx,
-            })
-            .is_ok()
-        {
-            let _ = done_rx.recv();
-        }
+        self.control(move |c| {
+            c.router.metrics.clock = Arc::clone(&clock);
+            c.workers
+                .on_shards(move |_, s| (s.set_clock(Arc::clone(&clock)), false));
+        });
     }
 
     /// Finishes a tumbling window against the *worker* state (every
@@ -664,17 +599,22 @@ impl ConcurrentEngine {
     /// # Errors
     /// Propagates report errors, or a typed error on a poisoned engine.
     pub fn flush_window(&mut self) -> SketchResult<Vec<(Vec<Value>, Vec<AggregateResult>)>> {
-        let (done_tx, done_rx) = channel::bounded(1);
-        if self
-            .submit_tx
-            .send(Job::FlushWindow { done: done_tx })
-            .is_err()
-        {
-            return Err(poisoned_sketch_error());
-        }
-        done_rx
-            .recv()
-            .unwrap_or_else(|_| Err(poisoned_sketch_error()))
+        self.control(|c| {
+            let windows = c
+                .workers
+                .on_shards(|_, s| (s.flush_window(), true))
+                .ok_or_else(poisoned_sketch_error)?;
+            let mut out = Vec::new();
+            for window in windows {
+                out.extend(window?);
+            }
+            // Per-shard windows are each sorted; a full sort restores the
+            // global key order the sequential engine emits.
+            out.sort_by(|a, b| a.0.cmp(&b.0));
+            c.router.dead.clear();
+            Ok(out)
+        })
+        .unwrap_or_else(|| Err(poisoned_sketch_error()))
     }
 
     /// Merges another concurrent engine's **latest published epoch** into
@@ -689,21 +629,25 @@ impl ConcurrentEngine {
         if self.num_shards() != other.num_shards() {
             return Err(SketchError::incompatible("shard counts differ"));
         }
-        let router = other.reads.shared.router.read().clone();
-        let (done_tx, done_rx) = channel::bounded(1);
-        if self
-            .submit_tx
-            .send(Job::MergeFrom {
-                state: Box::new((other.reads.published(), router)),
-                done: done_tx,
-            })
-            .is_err()
-        {
-            return Err(poisoned_sketch_error());
-        }
-        done_rx
-            .recv()
-            .unwrap_or_else(|_| Err(poisoned_sketch_error()))
+        let theirs = other.reads.published();
+        let their_router = other.reads.shared.router.read().clone();
+        self.control(move |c| {
+            // A shard republishes only if its own merge went through.
+            let merged = c
+                .workers
+                .on_shards(move |i, s| {
+                    let result = s.merge(&theirs[i]);
+                    let changed = result.is_ok();
+                    (result, changed)
+                })
+                .ok_or_else(poisoned_sketch_error)?;
+            for (i, result) in merged.into_iter().enumerate() {
+                result.map_err(|e| SketchError::incompatible(format!("shard {i}: {e}")))?;
+            }
+            c.router.absorb(&their_router);
+            Ok(())
+        })
+        .unwrap_or_else(|| Err(poisoned_sketch_error()))
     }
 
     /// Cuts a telemetry snapshot from the latest published epoch: the
@@ -916,126 +860,118 @@ impl Drop for ConcurrentEngine {
 /// the writer moved off the state the previous snapshot still holds.
 fn publish(shared: &Shared, shard_id: usize, shard: &SketchEngine) {
     let snap = Arc::new(shard.clone());
-    *shared.published[shard_id].write() = snap;
+    // The write guard lives for this one statement — the swap. The
+    // previous snapshot is usually at its last reference here, and freeing
+    // it (keys, table, the touched groups' old state) is the larger part
+    // of a publish: it happens below, on this worker, under no lock.
+    let previous = std::mem::replace(&mut *shared.published[shard_id].write(), snap);
     shared.epochs[shard_id].fetch_add(1, Ordering::Release);
     shared.snapshots_published.fetch_add(1, Ordering::Relaxed);
+    drop(previous);
 }
 
 /// One long-lived shard worker: owns its [`SketchEngine`] for the
-/// engine's lifetime, applying commands in order and publishing a new
-/// snapshot after every state change.
+/// engine's lifetime and runs the ops it is sent on it, in order. It ends
+/// when the coordinator drops its sender (shutdown, or a dead coordinator
+/// whose own supervisor flags the poisoning); a panic inside an op unwinds
+/// into the worker's supervisor, which poisons the engine.
 fn worker_main(
     mut shard: SketchEngine,
     shard_id: usize,
     shared: &Shared,
-    cmds: &channel::Receiver<Cmd>,
+    ops: &channel::Receiver<ShardOp>,
 ) {
-    loop {
-        let Ok(cmd) = cmds.recv() else {
-            // Coordinator gone without a Shutdown: exit quietly (the
-            // coordinator's own supervisor flags the poisoning).
-            return;
-        };
-        match cmd {
-            Cmd::Ingest {
-                rows,
-                indices,
-                outcome,
-            } => {
-                let out = worker_ingest(&mut shard, &rows, &indices);
-                let _ = outcome.send((shard_id, out));
-            }
-            Cmd::Commit { ack } => {
-                shard.commit_batch();
-                publish(shared, shard_id, &shard);
-                let _ = ack.send(());
-            }
-            Cmd::Rollback { ack } => {
-                shard.rollback_batch();
-                // Rolled-back state equals the already-published state, so
-                // no publish: readers never see any of the torn batch.
-                let _ = ack.send(());
-            }
-            Cmd::FlushWindow { done } => {
-                let result = shard.flush_window();
-                publish(shared, shard_id, &shard);
-                let _ = done.send(result);
-            }
-            Cmd::Merge { other, done } => {
-                let result = shard.merge(&other);
-                if result.is_ok() {
-                    publish(shared, shard_id, &shard);
-                }
-                let _ = done.send(result);
-            }
-            Cmd::SetPolicy { policy, ack } => {
-                shard.set_fault_policy(policy);
-                let _ = ack.send(());
-            }
-            Cmd::ArmFaults { injector, ack } => {
-                shard.arm_faults(injector);
-                let _ = ack.send(());
-            }
-            Cmd::DisarmFaults { done } => {
-                let _ = done.send(shard.disarm_faults());
-            }
-            Cmd::SetMetricsEnabled { enabled, ack } => {
-                shard.set_metrics_enabled(enabled);
-                let _ = ack.send(());
-            }
-            Cmd::SetClock { clock, ack } => {
-                shard.set_clock(clock);
-                let _ = ack.send(());
-            }
-            Cmd::Shutdown => return,
-        }
+    let publish = |shard: &SketchEngine| publish(shared, shard_id, shard);
+    while let Ok(op) = ops.recv() {
+        op(&mut shard, &publish);
     }
 }
 
-/// Sends one ack-carrying command to every worker and waits for all
-/// acks. Returns `false` (and poisons the engine) if any worker died.
-fn broadcast_ack(
-    worker_txs: &[channel::Sender<Cmd>],
-    shared: &Shared,
-    make: impl Fn(channel::Sender<()>) -> Cmd,
-) -> bool {
-    let num = worker_txs.len();
-    let (ack_tx, ack_rx) = channel::bounded(num);
-    let mut sent = 0usize;
-    for tx in worker_txs {
-        if tx.send(make(ack_tx.clone())).is_ok() {
-            sent += 1;
+/// The coordinator's side of the worker pool: the one way to have a shard
+/// worker do something ([`ask`](Self::ask)) and the one way to have all of
+/// them do it ([`on_shards`](Self::on_shards)).
+struct Workers {
+    txs: Vec<channel::Sender<ShardOp>>,
+    handles: Vec<std::thread::JoinHandle<()>>,
+    shared: Arc<Shared>,
+}
+
+impl Workers {
+    /// Queues `f` on worker `i` and returns where its answer will arrive.
+    /// `f` returns `(answer, changed)`; when `changed`, the worker
+    /// publishes its shard **before** it sends the answer, so whoever
+    /// receives it — and whoever they then resolve — already reads the new
+    /// epoch. A dead worker never answers: its receiver disconnects.
+    fn ask<T: Send + 'static>(
+        &self,
+        i: usize,
+        f: impl FnOnce(&mut SketchEngine) -> (T, bool) + Send + 'static,
+    ) -> channel::Receiver<T> {
+        let (reply_tx, reply_rx) = channel::bounded(1);
+        let op: ShardOp = Box::new(move |shard, publish| {
+            let (reply, changed) = f(shard);
+            if changed {
+                publish(shard);
+            }
+            let _ = reply_tx.send(reply);
+        });
+        // A failed send is a dead worker; dropping the op disconnects the
+        // reply, which is how the caller finds out.
+        let _ = self.txs[i].send(op);
+        reply_rx
+    }
+
+    /// Waits for one [`ask`](Self::ask)ed answer. `None` — and the engine
+    /// poisoned — if the worker died before or while answering.
+    fn reply<T>(&self, rx: channel::Receiver<T>) -> Option<T> {
+        let reply = rx.recv().ok();
+        if reply.is_none() {
+            self.shared.poisoned.store(true, Ordering::Release);
+        }
+        reply
+    }
+
+    /// Asks every worker at once — `f(i, shard)` on shard `i` — and
+    /// collects the answers in shard order. `None` (engine poisoned) if
+    /// any worker is dead; the live ones still ran `f`.
+    fn on_shards<T: Send + 'static>(
+        &self,
+        f: impl Fn(usize, &mut SketchEngine) -> (T, bool) + Send + Sync + 'static,
+    ) -> Option<Vec<T>> {
+        let f = Arc::new(f);
+        let asked: Vec<_> = (0..self.txs.len())
+            .map(|i| {
+                let f = Arc::clone(&f);
+                self.ask(i, move |shard| f(i, shard))
+            })
+            .collect();
+        asked.into_iter().map(|rx| self.reply(rx)).collect()
+    }
+
+    /// Ends every worker by dropping its sender, then joins them.
+    fn shutdown(&mut self) {
+        self.txs.clear();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
         }
     }
-    drop(ack_tx);
-    let acked = ack_rx.iter().count();
-    let ok = sent == num && acked == num;
-    if !ok {
-        shared.poisoned.store(true, Ordering::Release);
-    }
-    ok
 }
 
 /// The coordinator: drains the submit queue, serializing every mutation
 /// across the worker pool. It owns the [`Router`] and runs its batch
 /// protocol — the one [`ShardedEngine::process_batch`] runs — over the
-/// workers.
+/// workers. Two fields, so that a router call can take a closure over the
+/// workers (disjoint borrows).
 struct Coordinator {
     router: Router,
-    worker_txs: Vec<channel::Sender<Cmd>>,
-    worker_handles: Vec<std::thread::JoinHandle<()>>,
-    shared: Arc<Shared>,
+    workers: Workers,
 }
 
 impl Coordinator {
     fn run(&mut self, jobs: &channel::Receiver<Job>) {
-        loop {
-            let Ok(job) = jobs.recv() else {
-                // Handle dropped without Shutdown (it always sends one,
-                // but be safe): stop the workers and exit.
-                self.shutdown_workers();
-                return;
-            };
+        // A disconnected queue (the handle always sends a Shutdown, but be
+        // safe) ends the loop the way Shutdown does.
+        while let Ok(job) = jobs.recv() {
             match job {
                 Job::Ingest {
                     rows,
@@ -1056,119 +992,28 @@ impl Coordinator {
                     }
                     let result = self.handle_ingest(rows, &ctx);
                     self.publish_router();
-                    self.shared.rows_resolved.fetch_add(n, Ordering::Relaxed);
-                    self.shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                    let shared = &self.workers.shared;
+                    shared.rows_resolved.fetch_add(n, Ordering::Relaxed);
+                    shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
                     // Resolve *after* publishing: a resolved ticket
                     // guarantees reads observe the batch.
                     let _ = done.send(result);
                 }
-                Job::FlushWindow { done } => {
-                    let result = self.handle_flush_window();
-                    self.publish_router();
-                    let _ = done.send(result);
-                }
-                Job::MergeFrom { state, done } => {
-                    let (shards, router) = *state;
-                    let result = self.handle_merge(shards, &router);
-                    self.publish_router();
-                    let _ = done.send(result);
-                }
-                Job::SetPolicy { policy, done } => {
-                    self.router.set_fault_policy(policy);
-                    broadcast_ack(&self.worker_txs, &self.shared, |ack| Cmd::SetPolicy {
-                        policy,
-                        ack,
-                    });
-                    self.publish_router();
-                    let _ = done.send(());
-                }
-                Job::ArmFaults {
-                    shard,
-                    injector,
-                    done,
-                } => {
-                    let _ = done.send(self.handle_arm_faults(shard, injector));
-                }
-                Job::DisarmFaults { done } => {
-                    let mut out = Vec::new();
-                    for (i, tx) in self.worker_txs.iter().enumerate() {
-                        let (reply_tx, reply_rx) = channel::bounded(1);
-                        if tx.send(Cmd::DisarmFaults { done: reply_tx }).is_ok() {
-                            if let Ok(Some(injector)) = reply_rx.recv() {
-                                out.push((i, injector));
-                            }
-                        }
-                    }
-                    let _ = done.send(out);
-                }
-                Job::SetMetricsEnabled { enabled, done } => {
-                    self.router.metrics.enabled = enabled;
-                    broadcast_ack(&self.worker_txs, &self.shared, |ack| {
-                        Cmd::SetMetricsEnabled { enabled, ack }
-                    });
-                    self.publish_router();
-                    let _ = done.send(());
-                }
-                Job::SetClock { clock, done } => {
-                    self.router.metrics.clock = clock.clone();
-                    broadcast_ack(&self.worker_txs, &self.shared, |ack| Cmd::SetClock {
-                        clock: clock.clone(),
-                        ack,
-                    });
-                    // Publish so the submit path (which reads the
-                    // published router's clock for queue-wait stamps)
-                    // sees the new clock immediately.
-                    self.publish_router();
-                    let _ = done.send(());
-                }
+                Job::Control(f) => f(self),
                 Job::Crash => {
                     // lint: panic-ok(drill hook: deterministic injected coordinator death, contained by the coordinator supervisor which poisons the engine)
                     panic!("{INJECTED_PANIC_MARKER}: injected coordinator crash (drill)");
                 }
-                Job::Shutdown => {
-                    self.shutdown_workers();
-                    return;
-                }
+                Job::Shutdown => break,
             }
         }
+        self.workers.shutdown();
     }
 
     /// Publishes the router-level state (dead letters, metrics, policy)
     /// so reads see it without touching the coordinator.
     fn publish_router(&self) {
-        *self.shared.router.write() = self.router.clone();
-    }
-
-    /// "Run these lists on your shards": hands every worker its whole
-    /// index list at once and collects one outcome per worker. A worker
-    /// that never reports — its thread died before or during the batch —
-    /// poisons the engine and counts as a failed shard, so the batch
-    /// rolls back on the survivors.
-    fn run_on_workers(&self, rows: &Arc<Vec<Row>>, lists: Vec<Vec<usize>>) -> Vec<WorkerOutcome> {
-        let num = self.worker_txs.len();
-        let (outcome_tx, outcome_rx) = channel::bounded(num);
-        for (tx, indices) in self.worker_txs.iter().zip(lists) {
-            // A failed send is a dead worker: its outcome stays missing.
-            let _ = tx.send(Cmd::Ingest {
-                rows: Arc::clone(rows),
-                indices,
-                outcome: outcome_tx.clone(),
-            });
-        }
-        drop(outcome_tx);
-        let mut outcomes: Vec<Option<WorkerOutcome>> = (0..num).map(|_| None).collect();
-        for (shard_id, outcome) in &outcome_rx {
-            outcomes[shard_id] = Some(outcome);
-        }
-        outcomes
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    self.shared.poisoned.store(true, Ordering::Release);
-                    WorkerOutcome::lost("shard worker thread died".to_string())
-                })
-            })
-            .collect()
+        *self.workers.shared.router.write() = self.router.clone();
     }
 
     fn handle_ingest(
@@ -1184,10 +1029,30 @@ impl Coordinator {
         let timed = self.router.metrics.enabled || ctx.is_sampled();
         let clock = Arc::clone(&self.router.metrics.clock);
         let apply_start = if timed { clock.now_nanos() } else { 0 };
-        let num = self.worker_txs.len();
+        let num = self.workers.txs.len();
         let Partition { lists, quarantine } = self.router.partition(&rows, num);
         let rows = Arc::new(rows);
-        let outcomes = self.run_on_workers(&rows, lists);
+        // "Run these lists on your shards": every worker gets its whole
+        // index list at once. A worker that never answers — its thread
+        // died before or during the batch — poisons the engine and counts
+        // as a failed shard, so the batch rolls back on the survivors.
+        let asked: Vec<_> = lists
+            .into_iter()
+            .enumerate()
+            .map(|(i, indices)| {
+                let rows = Arc::clone(&rows);
+                self.workers
+                    .ask(i, move |s| (worker_ingest(s, &rows, &indices), false))
+            })
+            .collect();
+        let outcomes = asked
+            .into_iter()
+            .map(|rx| {
+                self.workers
+                    .reply(rx)
+                    .unwrap_or_else(|| WorkerOutcome::lost("shard worker thread died".to_string()))
+            })
+            .collect();
         if timed {
             let apply_end = clock.now_nanos();
             if self.router.metrics.enabled {
@@ -1207,23 +1072,22 @@ impl Coordinator {
             );
         }
 
-        // "Commit or roll back all shards": one acked broadcast. The
-        // publish stage is the commit broadcast — each worker publishes
-        // before it acks.
-        let (worker_txs, shared) = (&self.worker_txs, &self.shared);
+        // "Commit or roll back all shards". The publish stage is the
+        // commit round: each worker publishes before it answers. Rolled-
+        // back state equals the already-published state, so a rollback
+        // publishes nothing and readers never see any of the torn batch.
         let mut publish_span = None;
         let result = self.router.settle(outcomes, quarantine, |commit| {
             let publish_start = (timed && commit).then(|| clock.now_nanos());
-            let make = |ack| {
-                if commit {
-                    Cmd::Commit { ack }
-                } else {
-                    Cmd::Rollback { ack }
-                }
-            };
-            if !broadcast_ack(worker_txs, shared, make) {
-                return Err(poisoned_batch_error());
-            }
+            self.workers
+                .on_shards(move |_, s| {
+                    if commit {
+                        (s.commit_batch(), true)
+                    } else {
+                        (s.rollback_batch(), false)
+                    }
+                })
+                .ok_or_else(poisoned_batch_error)?;
             publish_span = publish_start.map(|start| (start, clock.now_nanos()));
             Ok(())
         });
@@ -1238,104 +1102,6 @@ impl Coordinator {
         }
         self.router.metrics.finish_batch(start);
         result
-    }
-
-    fn handle_flush_window(&mut self) -> SketchResult<Vec<(Vec<Value>, Vec<AggregateResult>)>> {
-        let mut replies = Vec::with_capacity(self.worker_txs.len());
-        for tx in &self.worker_txs {
-            let (reply_tx, reply_rx) = channel::bounded(1);
-            if tx.send(Cmd::FlushWindow { done: reply_tx }).is_err() {
-                self.shared.poisoned.store(true, Ordering::Release);
-                return Err(poisoned_sketch_error());
-            }
-            replies.push(reply_rx);
-        }
-        let mut out = Vec::new();
-        for reply in replies {
-            match reply.recv() {
-                Ok(result) => out.extend(result?),
-                Err(_) => {
-                    self.shared.poisoned.store(true, Ordering::Release);
-                    return Err(poisoned_sketch_error());
-                }
-            }
-        }
-        // Per-shard windows are each sorted; a full sort restores the
-        // global key order the sequential engine emits.
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        self.router.dead.clear();
-        Ok(out)
-    }
-
-    fn handle_merge(
-        &mut self,
-        shards: Vec<Arc<SketchEngine>>,
-        router: &Router,
-    ) -> SketchResult<()> {
-        if shards.len() != self.worker_txs.len() {
-            return Err(SketchError::incompatible("shard counts differ"));
-        }
-        let mut replies = Vec::with_capacity(shards.len());
-        for (tx, other) in self.worker_txs.iter().zip(shards) {
-            let (reply_tx, reply_rx) = channel::bounded(1);
-            if tx
-                .send(Cmd::Merge {
-                    other,
-                    done: reply_tx,
-                })
-                .is_err()
-            {
-                self.shared.poisoned.store(true, Ordering::Release);
-                return Err(poisoned_sketch_error());
-            }
-            replies.push(reply_rx);
-        }
-        for (i, reply) in replies.into_iter().enumerate() {
-            match reply.recv() {
-                Ok(result) => {
-                    result.map_err(|e| SketchError::incompatible(format!("shard {i}: {e}")))?
-                }
-                Err(_) => {
-                    self.shared.poisoned.store(true, Ordering::Release);
-                    return Err(poisoned_sketch_error());
-                }
-            }
-        }
-        self.router.absorb(router);
-        Ok(())
-    }
-
-    fn handle_arm_faults(&mut self, shard: usize, injector: FaultInjector) -> SketchResult<()> {
-        let num = self.worker_txs.len();
-        let Some(tx) = self.worker_txs.get(shard) else {
-            return Err(SketchError::invalid(
-                "shard",
-                format!("no shard {shard} (of {num})"),
-            ));
-        };
-        let (ack_tx, ack_rx) = channel::bounded(1);
-        if tx
-            .send(Cmd::ArmFaults {
-                injector,
-                ack: ack_tx,
-            })
-            .is_err()
-            || ack_rx.recv().is_err()
-        {
-            self.shared.poisoned.store(true, Ordering::Release);
-            return Err(poisoned_sketch_error());
-        }
-        Ok(())
-    }
-
-    fn shutdown_workers(&mut self) {
-        for tx in &self.worker_txs {
-            let _ = tx.send(Cmd::Shutdown);
-        }
-        self.worker_txs.clear();
-        for handle in self.worker_handles.drain(..) {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -1835,6 +1601,90 @@ mod tests {
         for t in &mut tickets {
             assert!(t.poll().expect("resolved by shutdown").is_ok());
         }
+    }
+
+    #[test]
+    fn control_ops_are_fifo_with_ingest() {
+        let mut conc = ConcurrentEngine::new(spec(), 2).unwrap();
+        let mut tickets: Vec<BatchTicket> =
+            (0..8).map(|_| conc.submit_batch(rows(30, 5))).collect();
+        // Queued behind all 8 batches, so the window it closes holds them.
+        let window = conc.flush_window().unwrap();
+        let counted: u64 = window
+            .iter()
+            .map(|(_, aggs)| match aggs[0] {
+                AggregateResult::Count(c) => c,
+                ref other => panic!("unexpected first aggregate {other:?}"),
+            })
+            .sum();
+        assert_eq!(counted, 8 * 30);
+        assert_eq!(conc.rows_processed(), 0);
+        // And each of them resolved before the flush even started.
+        for t in &mut tickets {
+            assert!(t.poll().expect("resolved ahead of the flush").is_ok());
+        }
+    }
+
+    #[test]
+    fn every_mutator_on_a_dead_engine_returns_in_bounded_time() {
+        crate::fault::silence_injected_panics();
+        let mut conc = ConcurrentEngine::new(spec(), 2).unwrap();
+        let other = ConcurrentEngine::new(spec(), 2).unwrap();
+        conc.submit_batch(rows(200, 5)).wait().unwrap();
+        let policy = conc.fault_policy();
+        let before = conc.to_snapshot_bytes();
+
+        conc.inject_coordinator_panic();
+        let start = std::time::Instant::now();
+        let incompatible = |r: SketchResult<()>| {
+            assert!(matches!(r, Err(SketchError::Incompatible { .. })), "{r:?}");
+        };
+        incompatible(conc.flush_window().map(drop));
+        incompatible(conc.merge(&other));
+        incompatible(conc.arm_faults(0, FaultInjector::new()));
+        assert!(conc.disarm_faults().is_empty());
+        conc.set_fault_policy(FaultPolicy::Quarantine { max_samples: 3 });
+        conc.set_metrics_enabled(false);
+        conc.set_clock(Arc::new(sketches_obs::ManualClock::new()));
+        while !conc.is_poisoned() {
+            assert!(start.elapsed() < Duration::from_secs(10), "never poisoned");
+            std::thread::yield_now();
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "mutators did not return in bounded time"
+        );
+        // The setters were no-ops, and reads serve the last epoch.
+        assert_eq!(conc.fault_policy(), policy);
+        assert_eq!(conc.to_snapshot_bytes(), before);
+        assert!(conc.report(&row![1u64]).unwrap().is_some());
+    }
+
+    #[test]
+    fn a_panicking_shard_op_poisons_and_never_hangs() {
+        // A control op nobody wrote a message kind for: a closure through
+        // `control`, fanned out with `on_shards`, dying on one shard.
+        crate::fault::silence_injected_panics();
+        let conc = ConcurrentEngine::new(spec(), 3).unwrap();
+        conc.submit_batch(rows(300, 9)).wait().unwrap();
+        let before = conc.to_snapshot_bytes();
+
+        let answers = conc.control(|c| {
+            c.workers.on_shards(|i, shard| {
+                if i == 1 {
+                    panic!("{INJECTED_PANIC_MARKER}: injected shard-op panic");
+                }
+                (shard.num_groups(), false)
+            })
+        });
+        assert_eq!(answers, Some(None));
+        assert!(conc.is_poisoned());
+
+        let err = conc.submit_batch(rows(50, 9)).wait().unwrap_err();
+        assert!(matches!(err.cause, BatchCause::WorkerPanic(_)), "{err:?}");
+        assert!(err.to_string().contains("poisoned"), "{err}");
+        assert_eq!(conc.to_snapshot_bytes(), before);
+        assert!(conc.report(&row![1u64]).unwrap().is_some());
     }
 
     /// Where every group's state lives, by key — the pointer-equality

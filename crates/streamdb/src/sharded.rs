@@ -569,32 +569,39 @@ mod tests {
 
     #[test]
     fn arm_faults_rejects_bad_shard_index() {
-        let mut sharded = ShardedEngine::new(spec(), 2).unwrap();
-        // The first out-of-range index is num_shards itself (boundary), and
-        // the rejection must be a *typed* parameter error naming both the
-        // requested shard and the valid range — not a panic or a silent
-        // no-op on some other shard.
-        for bad in [2usize, 5, usize::MAX] {
-            let err = sharded
-                .arm_faults(bad, crate::fault::FaultInjector::new())
-                .unwrap_err();
-            assert!(
-                matches!(err, SketchError::InvalidParameter { name: "shard", .. }),
-                "shard {bad}: wrong error {err:?}"
-            );
-            assert!(err.to_string().contains("(of 2)"), "shard {bad}: {err}");
+        // One contract and one message on both sharded topologies.
+        macro_rules! check {
+            ($engine:ty) => {{
+                let mut sharded = <$engine>::new(spec(), 2).unwrap();
+                // The first out-of-range index is num_shards itself
+                // (boundary), and the rejection must be a *typed* parameter
+                // error naming both the requested shard and the valid range
+                // — not a panic or a silent no-op on some other shard.
+                for bad in [2usize, 5, usize::MAX] {
+                    let err = sharded
+                        .arm_faults(bad, crate::fault::FaultInjector::new())
+                        .unwrap_err();
+                    assert!(
+                        matches!(err, SketchError::InvalidParameter { name: "shard", .. }),
+                        "shard {bad}: wrong error {err:?}"
+                    );
+                    assert!(err.to_string().contains("(of 2)"), "shard {bad}: {err}");
+                }
+                // In-range shards (0 and num_shards - 1) still arm fine.
+                sharded
+                    .arm_faults(0, crate::fault::FaultInjector::new())
+                    .unwrap();
+                sharded
+                    .arm_faults(1, crate::fault::FaultInjector::new())
+                    .unwrap();
+                let disarmed = sharded.disarm_faults();
+                assert_eq!(disarmed.len(), 2);
+                assert_eq!(disarmed[0].0, 0);
+                assert_eq!(disarmed[1].0, 1);
+            }};
         }
-        // In-range shards (0 and num_shards - 1) still arm fine.
-        sharded
-            .arm_faults(0, crate::fault::FaultInjector::new())
-            .unwrap();
-        sharded
-            .arm_faults(1, crate::fault::FaultInjector::new())
-            .unwrap();
-        let disarmed = sharded.disarm_faults();
-        assert_eq!(disarmed.len(), 2);
-        assert_eq!(disarmed[0].0, 0);
-        assert_eq!(disarmed[1].0, 1);
+        check!(ShardedEngine);
+        check!(crate::ConcurrentEngine);
     }
 
     #[test]
@@ -633,17 +640,16 @@ mod tests {
 
     #[test]
     fn merge_error_names_the_failing_shard() {
-        let mut a = ShardedEngine::new(spec(), 2).unwrap();
-        let b = ShardedEngine::with_config(
-            spec(),
-            EngineConfig {
+        fn check<E: crate::StreamEngine>(build: impl Fn(EngineConfig) -> E) {
+            let mut a = build(EngineConfig::default());
+            let b = build(EngineConfig {
                 hll_precision: 12,
                 ..EngineConfig::default()
-            },
-            2,
-        )
-        .unwrap();
-        let err = a.merge(&b).unwrap_err();
-        assert!(err.to_string().contains("shard 0"), "{err}");
+            });
+            let err = a.merge(&b).unwrap_err();
+            assert!(err.to_string().contains("shard 0"), "{err}");
+        }
+        check(|config| ShardedEngine::with_config(spec(), config, 2).unwrap());
+        check(|config| crate::ConcurrentEngine::with_config(spec(), config, 2).unwrap());
     }
 }
