@@ -30,14 +30,14 @@
 //!   committed batch (and every flush/merge) a worker publishes an
 //!   immutable `Arc<SketchEngine>` snapshot of its shard into a shared
 //!   slot and bumps the shard's epoch counter — the only object writer
-//!   and readers share. The snapshot shares every group's state with the
-//!   live shard by pointer; the worker copies a group the first time a
-//!   later batch writes it, never in place (see [`SketchEngine`]).
-//!   Every read goes through a [`ReadHandle`] (the engine owns one and
-//!   delegates): it clones the latest published `Arc`s (a pointer copy
-//!   under a lock held only for the swap/clone instant) and never touches
-//!   worker state, so queries are never blocked behind ingest work and
-//!   ingest never waits for readers.
+//!   and readers share. It shares every group's state with the live shard
+//!   by pointer; the worker copies a group the first time a later batch
+//!   writes it, never in place (see [`SketchEngine`]). A commit costs what
+//!   its batch touched: the snapshot a publish replaces is kept (retired)
+//!   and, once no reader holds it, brought up to date from the undo logs'
+//!   keys and published next (see `publish`). Every read goes through a
+//!   [`ReadHandle`]: it clones the published `Arc`s out of their slots and
+//!   never touches worker state, so reads and ingest never wait on each other.
 //! * **Slim views cut on demand.** [`ReadHandle::query_view`] cuts the
 //!   [`EngineView`] — the read half of the read/write split — from those
 //!   same published snapshots when asked, after taking the `Arc`s out of
@@ -77,7 +77,7 @@ use parking_lot::RwLock;
 use sketches_core::{SketchError, SketchResult};
 use sketches_obs::{Clock, MetricsSnapshot, Stage, TraceContext};
 
-use crate::engine::{EngineConfig, SketchEngine};
+use crate::engine::{EngineConfig, SketchEngine, Touched};
 use crate::fault::{
     BatchCause, BatchError, BatchSummary, DeadLetters, FaultInjector, FaultPolicy,
     INJECTED_PANIC_MARKER,
@@ -144,6 +144,8 @@ struct Shared {
     queue_depth: AtomicU64,
     /// Snapshot publishes across all shards (commit, flush, merge).
     snapshots_published: AtomicU64,
+    /// Those of them that copied the shard's whole group table.
+    snapshots_copied: AtomicU64,
     /// Set when a worker or the coordinator thread dies.
     poisoned: AtomicBool,
 }
@@ -174,7 +176,16 @@ enum Job {
 
 /// What a shard worker runs: a closure over the shard it owns and the
 /// worker's own publish step (see [`Workers::ask`], which builds them all).
-type ShardOp = Box<dyn FnOnce(&mut SketchEngine, &dyn Fn(&SketchEngine)) + Send>;
+type ShardOp = Box<dyn FnOnce(&mut SketchEngine, &mut dyn FnMut(&SketchEngine, Changed)) + Send>;
+
+/// What a shard op changed of what readers see, for its worker to [`publish`]
+/// before it answers: nothing (ingest under an open undo log, a rollback, a
+/// setter), what one committed batch touched, or (flush, merge) any group.
+enum Changed {
+    No,
+    Keys(Touched),
+    All,
+}
 
 /// A pending batch: resolves to the same summary/error the synchronous
 /// engines report, once the coordinator has committed or rolled back.
@@ -318,6 +329,7 @@ impl ConcurrentEngine {
             rows_resolved: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             snapshots_published: AtomicU64::new(0),
+            snapshots_copied: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
         });
 
@@ -346,8 +358,9 @@ impl ConcurrentEngine {
         let coordinator_shared = Arc::clone(&shared);
         let coordinator = std::thread::spawn(move || {
             let mut coordinator = Coordinator { router, workers };
+            // Borrowed, not moved: no ticket may disconnect before the flag is up.
             // lint: panic-boundary(coordinator supervisor: a dying coordinator must poison the engine, not abort the process)
-            let caught = catch_unwind(AssertUnwindSafe(move || coordinator.run(&submit_rx)));
+            let caught = catch_unwind(AssertUnwindSafe(|| coordinator.run(&submit_rx)));
             if caught.is_err() {
                 coordinator_shared.poisoned.store(true, Ordering::Release);
             }
@@ -525,7 +538,7 @@ impl ConcurrentEngine {
         self.control(move |c| {
             c.router.set_fault_policy(policy);
             c.workers
-                .on_shards(move |_, s| (s.set_fault_policy(policy), false));
+                .on_shards(move |_, s| (s.set_fault_policy(policy), Changed::No));
         });
     }
 
@@ -551,7 +564,8 @@ impl ConcurrentEngine {
                     format!("no shard {shard} (of {num})"),
                 ));
             }
-            let armed = c.workers.ask(shard, |s| (s.arm_faults(injector), false));
+            let arm = |s: &mut SketchEngine| (s.arm_faults(injector), Changed::No);
+            let armed = c.workers.ask(shard, arm);
             c.workers.reply(armed).ok_or_else(poisoned_sketch_error)
         })
         .unwrap_or_else(|| Err(poisoned_sketch_error()))
@@ -560,7 +574,7 @@ impl ConcurrentEngine {
     /// Disarms the fault injectors on every shard worker, returning each
     /// armed injector with its shard index (empty on a poisoned engine).
     pub fn disarm_faults(&mut self) -> Vec<(usize, FaultInjector)> {
-        self.control(|c| c.workers.on_shards(|_, s| (s.disarm_faults(), false)))
+        self.control(|c| c.workers.on_shards(|_, s| (s.disarm_faults(), Changed::No)))
             .flatten()
             .unwrap_or_default()
             .into_iter()
@@ -575,7 +589,7 @@ impl ConcurrentEngine {
         self.control(move |c| {
             c.router.metrics.enabled = enabled;
             c.workers
-                .on_shards(move |_, s| (s.set_metrics_enabled(enabled), false));
+                .on_shards(move |_, s| (s.set_metrics_enabled(enabled), Changed::No));
         });
     }
 
@@ -587,7 +601,7 @@ impl ConcurrentEngine {
         self.control(move |c| {
             c.router.metrics.clock = Arc::clone(&clock);
             c.workers
-                .on_shards(move |_, s| (s.set_clock(Arc::clone(&clock)), false));
+                .on_shards(move |_, s| (s.set_clock(Arc::clone(&clock)), Changed::No));
         });
     }
 
@@ -602,7 +616,7 @@ impl ConcurrentEngine {
         self.control(|c| {
             let windows = c
                 .workers
-                .on_shards(|_, s| (s.flush_window(), true))
+                .on_shards(|_, s| (s.flush_window(), Changed::All))
                 .ok_or_else(poisoned_sketch_error)?;
             let mut out = Vec::new();
             for window in windows {
@@ -637,7 +651,7 @@ impl ConcurrentEngine {
                 .workers
                 .on_shards(move |i, s| {
                     let result = s.merge(&theirs[i]);
-                    let changed = result.is_ok();
+                    let changed = result.as_ref().map_or(Changed::No, |()| Changed::All);
                     (result, changed)
                 })
                 .ok_or_else(poisoned_sketch_error)?;
@@ -653,8 +667,8 @@ impl ConcurrentEngine {
     /// Cuts a telemetry snapshot from the latest published epoch: the
     /// router block plus every shard's, with the concurrent-serving
     /// gauges — `publish_epoch{shard}`, `publish_lag_rows`,
-    /// `submit_queue_depth` — and the `snapshots_published_total`
-    /// counter.
+    /// `submit_queue_depth` — and the `snapshots_published_total` and
+    /// `snapshots_copied_total` counters.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
         self.reads.metrics()
@@ -806,8 +820,8 @@ impl ReadHandle {
     /// Telemetry snapshot of the latest published epoch: what the sharded
     /// engine reports for the same shards, plus the concurrent-serving
     /// gauges — `publish_epoch{shard}`, `publish_lag_rows`,
-    /// `submit_queue_depth` — and the `snapshots_published_total`
-    /// counter.
+    /// `submit_queue_depth` — and the `snapshots_published_total` and
+    /// `snapshots_copied_total` counters.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
         let shared = &self.shared;
@@ -827,6 +841,8 @@ impl ReadHandle {
             names::SNAPSHOTS_PUBLISHED,
             shared.snapshots_published.load(Ordering::Relaxed),
         );
+        let copied = shared.snapshots_copied.load(Ordering::Relaxed);
+        snap.add_counter(names::SNAPSHOTS_COPIED, copied);
         snap
     }
 
@@ -854,20 +870,41 @@ impl Drop for ConcurrentEngine {
     }
 }
 
-/// Publishes one shard's current state as a fresh immutable snapshot:
-/// O(groups) key clones and pointer copies, no sketch state — the deep
-/// copy of each group the batch touched was made once, during ingest, when
-/// the writer moved off the state the previous snapshot still holds.
-fn publish(shared: &Shared, shard_id: usize, shard: &SketchEngine) {
-    let snap = Arc::new(shard.clone());
-    // The write guard lives for this one statement — the swap. The
-    // previous snapshot is usually at its last reference here, and freeing
-    // it (keys, table, the touched groups' old state) is the larger part
-    // of a publish: it happens below, on this worker, under no lock.
+/// Publishes one shard's state as an immutable snapshot, at the cost of
+/// what `changed`. `retired` is the snapshot the last publish replaced —
+/// kept, not freed — and the batch it is behind its successor by. A batch
+/// commit reuses it if the worker holds its last reference (so no reader
+/// sees it, or can: it left its slot a publish ago), taking `shard`'s
+/// pointers for the keys of the two batches it is now behind by: O(touched).
+/// Otherwise — nothing retired, a reader still on it, [`Changed::All`] — it
+/// copies the table, O(groups), and counts that in `snapshots_copied`.
+fn publish(
+    shared: &Shared,
+    shard_id: usize,
+    shard: &SketchEngine,
+    retired: &mut Option<(Arc<SketchEngine>, Touched)>,
+    changed: Changed,
+) {
+    let touched = match changed {
+        Changed::No => return,
+        Changed::Keys(touched) => Some(touched),
+        Changed::All => None,
+    };
+    let reused = retired
+        .take()
+        .zip(touched.as_ref())
+        .and_then(|((mut snap, behind), touched)| {
+            Arc::get_mut(&mut snap)?.catch_up(shard, [&behind, touched]);
+            Some(snap)
+        });
+    let copied = u64::from(reused.is_none());
+    shared.snapshots_copied.fetch_add(copied, Ordering::Relaxed);
+    let snap = reused.unwrap_or_else(|| Arc::new(shard.clone()));
+    // The write guard lives for this one statement, the swap: frees come after.
     let previous = std::mem::replace(&mut *shared.published[shard_id].write(), snap);
     shared.epochs[shard_id].fetch_add(1, Ordering::Release);
     shared.snapshots_published.fetch_add(1, Ordering::Relaxed);
-    drop(previous);
+    *retired = touched.map(|touched| (previous, touched));
 }
 
 /// One long-lived shard worker: owns its [`SketchEngine`] for the
@@ -881,9 +918,10 @@ fn worker_main(
     shared: &Shared,
     ops: &channel::Receiver<ShardOp>,
 ) {
-    let publish = |shard: &SketchEngine| publish(shared, shard_id, shard);
+    let mut retired = None;
+    let mut publish = |s: &SketchEngine, c| publish(shared, shard_id, s, &mut retired, c);
     while let Ok(op) = ops.recv() {
-        op(&mut shard, &publish);
+        op(&mut shard, &mut publish);
     }
 }
 
@@ -898,21 +936,19 @@ struct Workers {
 
 impl Workers {
     /// Queues `f` on worker `i` and returns where its answer will arrive.
-    /// `f` returns `(answer, changed)`; when `changed`, the worker
-    /// publishes its shard **before** it sends the answer, so whoever
+    /// `f` returns `(answer, changed)`; the worker publishes what changed
+    /// (see [`Changed`]) **before** it sends the answer, so whoever
     /// receives it — and whoever they then resolve — already reads the new
     /// epoch. A dead worker never answers: its receiver disconnects.
     fn ask<T: Send + 'static>(
         &self,
         i: usize,
-        f: impl FnOnce(&mut SketchEngine) -> (T, bool) + Send + 'static,
+        f: impl FnOnce(&mut SketchEngine) -> (T, Changed) + Send + 'static,
     ) -> channel::Receiver<T> {
         let (reply_tx, reply_rx) = channel::bounded(1);
         let op: ShardOp = Box::new(move |shard, publish| {
             let (reply, changed) = f(shard);
-            if changed {
-                publish(shard);
-            }
+            publish(shard, changed);
             let _ = reply_tx.send(reply);
         });
         // A failed send is a dead worker; dropping the op disconnects the
@@ -936,7 +972,7 @@ impl Workers {
     /// any worker is dead; the live ones still ran `f`.
     fn on_shards<T: Send + 'static>(
         &self,
-        f: impl Fn(usize, &mut SketchEngine) -> (T, bool) + Send + Sync + 'static,
+        f: impl Fn(usize, &mut SketchEngine) -> (T, Changed) + Send + Sync + 'static,
     ) -> Option<Vec<T>> {
         let f = Arc::new(f);
         let asked: Vec<_> = (0..self.txs.len())
@@ -1042,7 +1078,7 @@ impl Coordinator {
             .map(|(i, indices)| {
                 let rows = Arc::clone(&rows);
                 self.workers
-                    .ask(i, move |s| (worker_ingest(s, &rows, &indices), false))
+                    .ask(i, move |s| (worker_ingest(s, &rows, &indices), Changed::No))
             })
             .collect();
         let outcomes = asked
@@ -1082,9 +1118,9 @@ impl Coordinator {
             self.workers
                 .on_shards(move |_, s| {
                     if commit {
-                        (s.commit_batch(), true)
+                        ((), Changed::Keys(s.commit_batch()))
                     } else {
-                        (s.rollback_batch(), false)
+                        (s.rollback_batch(), Changed::No)
                     }
                 })
                 .ok_or_else(poisoned_batch_error)?;
@@ -1461,6 +1497,7 @@ mod tests {
                 name.starts_with("publish_")
                     || name == names::SUBMIT_QUEUE_DEPTH
                     || name == names::SNAPSHOTS_PUBLISHED
+                    || name == names::SNAPSHOTS_COPIED
             };
             let shared_series: Vec<(String, u64)> = metrics
                 .counters
@@ -1674,7 +1711,7 @@ mod tests {
                 if i == 1 {
                     panic!("{INJECTED_PANIC_MARKER}: injected shard-op panic");
                 }
-                (shard.num_groups(), false)
+                (shard.num_groups(), Changed::No)
             })
         });
         assert_eq!(answers, Some(None));
@@ -1845,5 +1882,219 @@ mod tests {
         let (passes, final_rows) = walker.join().expect("walker thread");
         assert!(passes > 20);
         assert_eq!(final_rows, 20 * 4 * per_batch);
+    }
+
+    // ---- O(touched) publish: a commit brings the retired snapshot up to
+    // date; everything else copies the table, counted by
+    // `snapshots_copied_total`. ----
+
+    fn copied(conc: &ConcurrentEngine) -> u64 {
+        conc.metrics().counters[names::SNAPSHOTS_COPIED]
+    }
+
+    /// `n` rows over groups `first..first + span`.
+    fn rows_over(n: u64, first: u64, span: u64) -> Vec<Row> {
+        (0..n)
+            .map(|i| row![first + i % span, i % 13, (i % 50) as f64])
+            .collect()
+    }
+
+    /// One good batch into the engine and its never-shared twin.
+    fn commit(conc: &ConcurrentEngine, twin: &mut ShardedEngine, batch: Vec<Row>) {
+        let ours = conc.submit_batch(batch.clone()).wait().unwrap();
+        assert_eq!(ours, twin.process_batch(&batch).unwrap());
+    }
+
+    /// Every shard's published snapshot against the same shard of a
+    /// `ShardedEngine` fed the same history, and every accessor over both.
+    fn assert_published_equals(conc: &ConcurrentEngine, twin: &ShardedEngine, at: &str) {
+        for (i, shard) in conc.reads.published().iter().enumerate() {
+            assert_eq!(
+                shard.to_snapshot_bytes(),
+                twin.shards[i].to_snapshot_bytes(),
+                "shard {i} diverged {at}"
+            );
+        }
+        // All but one series: an injected fault stays counted when its batch
+        // rolls back, and a rollback publishes nothing — readers see that
+        // count with the shard's next publish.
+        let ((state, mut rest), (twin_state, mut twin_rest)) = (reads!(conc), reads!(twin));
+        rest.2.retain(|(name, _)| name != names::INJECTED_FAULTS);
+        twin_rest
+            .2
+            .retain(|(name, _)| name != names::INJECTED_FAULTS);
+        assert_eq!(
+            (state, rest),
+            (twin_state, twin_rest),
+            "accessors diverged {at}"
+        );
+    }
+
+    #[test]
+    fn random_schedules_publish_what_a_fresh_copy_would() {
+        crate::fault::silence_injected_panics();
+        // A seeded schedule, the same on every run.
+        let mut rng = sketches_hash::SplitMix64::new(24);
+        let mut next = move |bound: u64| sketches_hash::Rng64::gen_range(&mut rng, bound);
+        let steps = if cfg!(miri) { 16 } else { 120 };
+
+        let mut conc = ConcurrentEngine::new(spec(), 2).unwrap();
+        let mut twin = ShardedEngine::new(spec(), 2).unwrap();
+        // What `merge` steps fold in: groups on both sides of the live set.
+        let other = ConcurrentEngine::new(spec(), 2).unwrap();
+        other.submit_batch(rows_over(40, 5, 10)).wait().unwrap();
+        let mut other_twin = ShardedEngine::new(spec(), 2).unwrap();
+        other_twin.process_batch(&rows_over(40, 5, 10)).unwrap();
+
+        // Snapshots a reader took and still holds, with their bytes then.
+        let mut held: Vec<(Arc<SketchEngine>, Vec<u8>)> = Vec::new();
+        for step in 0..steps {
+            let what = next(12);
+            match what {
+                // Good batches are the common step, over a moving window of
+                // groups so that some are new to every table and some old.
+                0..=4 => {
+                    let batch = rows_over(4 + next(20), next(12), 1 + next(6));
+                    commit(&conc, &mut twin, batch);
+                }
+                5 => {
+                    // Rolled back, or its last row quarantined: by policy.
+                    let ours = conc.submit_batch(poison_batch()).wait();
+                    assert_eq!(ours.ok(), twin.process_batch(&poison_batch()).ok());
+                }
+                6 => {
+                    let batch = rows_over(30, next(12), 6);
+                    let shard = next(2) as usize;
+                    let fault = || FaultInjector::new().at(3, FaultKind::Panic);
+                    conc.arm_faults(shard, fault()).unwrap();
+                    twin.arm_faults(shard, fault()).unwrap();
+                    let ours = conc.submit_batch(batch.clone()).wait();
+                    assert_eq!(ours.ok(), twin.process_batch(&batch).ok());
+                    conc.disarm_faults();
+                    twin.disarm_faults();
+                }
+                7 => assert_eq!(conc.flush_window().unwrap(), twin.flush_window().unwrap()),
+                8 => {
+                    conc.merge(&other).unwrap();
+                    twin.merge(&other_twin).unwrap();
+                }
+                9 => {
+                    let policy = match next(2) {
+                        0 => FaultPolicy::FailBatch,
+                        _ => FaultPolicy::Quarantine { max_samples: 4 },
+                    };
+                    conc.set_fault_policy(policy);
+                    twin.set_fault_policy(policy);
+                }
+                10 => held.extend(conc.reads.published().into_iter().map(|s| {
+                    let bytes = s.to_snapshot_bytes();
+                    (s, bytes)
+                })),
+                _ => {
+                    if !held.is_empty() {
+                        held.swap_remove(next(held.len() as u64) as usize);
+                    }
+                }
+            }
+            assert_published_equals(&conc, &twin, &format!("after step {step} (kind {what})"));
+            for (snapshot, bytes) in &held {
+                assert_eq!(
+                    &snapshot.to_snapshot_bytes(),
+                    bytes,
+                    "held snapshot changed"
+                );
+            }
+        }
+        // The schedule took both publish paths.
+        let published = conc.metrics().counters[names::SNAPSHOTS_PUBLISHED];
+        assert!(copied(&conc) > 2 && copied(&conc) < published);
+    }
+
+    #[test]
+    fn a_commit_copies_the_table_only_when_a_reader_holds_the_retired_snapshot() {
+        let conc = ConcurrentEngine::new(spec(), 2).unwrap();
+        let mut twin = ShardedEngine::new(spec(), 2).unwrap();
+        // No reader holds anything: the first commit on each shard has no
+        // retired snapshot to reuse; no later one copies.
+        for i in 0..6 {
+            commit(&conc, &mut twin, rows_over(24, i, 4));
+        }
+        assert_eq!(copied(&conc), 2);
+        assert_eq!(conc.metrics().counters[names::SNAPSHOTS_PUBLISHED], 12);
+
+        // Holding the *published* snapshot costs nothing until it has been
+        // retired and comes up for reuse: one commit retires it, the next
+        // finds the reader on it and copies — on that shard only.
+        let held = conc.reads.published_shard(0);
+        let held_bytes = held.to_snapshot_bytes();
+        commit(&conc, &mut twin, rows_over(24, 2, 4));
+        assert_eq!(copied(&conc), 2);
+        commit(&conc, &mut twin, rows_over(24, 3, 4));
+        assert_eq!(copied(&conc), 3);
+        assert_eq!(held.to_snapshot_bytes(), held_bytes);
+        // The copy restarts the cycle: nothing further is owed.
+        drop(held);
+        commit(&conc, &mut twin, rows_over(24, 0, 4));
+        commit(&conc, &mut twin, rows_over(24, 1, 4));
+        assert_eq!(copied(&conc), 3);
+        assert_eq!(conc.metrics().counters[names::SNAPSHOTS_PUBLISHED], 20);
+        assert_published_equals(&conc, &twin, "after the held snapshot");
+    }
+
+    #[test]
+    fn a_rolled_back_batch_leaves_the_retired_snapshot_one_batch_behind() {
+        let conc = ConcurrentEngine::new(spec(), 2).unwrap();
+        let mut twin = ShardedEngine::new(spec(), 2).unwrap();
+        // Two commits: a retired snapshot exists and is behind by the second.
+        for batch in [rows_over(36, 0, 6), rows_over(12, 0, 3)] {
+            commit(&conc, &mut twin, batch);
+        }
+        let epochs = |c: &ConcurrentEngine| {
+            let gauges = c.metrics().gauges;
+            [0, 1].map(|i| gauges[&names::publish_epoch(i)])
+        };
+        let before = (epochs(&conc), conc.to_snapshot_bytes());
+
+        // A batch that writes every group, creates groups 6..9 and then
+        // fails: nothing is published, and nothing of it may leak into the
+        // next publish through the retired table.
+        let mut torn = rows_over(27, 0, 9);
+        torn.push(row![0u64, 1u64, "not-a-number"]);
+        conc.submit_batch(torn.clone()).wait().unwrap_err();
+        twin.process_batch(&torn).unwrap_err();
+        assert_eq!((epochs(&conc), conc.to_snapshot_bytes()), before);
+
+        // The next commit touches groups the second one did not: what it
+        // publishes has the second commit's groups too.
+        commit(&conc, &mut twin, rows_over(10, 4, 2));
+        assert_eq!(conc.num_groups(), 6);
+        assert_published_equals(&conc, &twin, "after the rollback");
+        assert_eq!(copied(&conc), 2, "every publish after the first reused");
+    }
+
+    #[test]
+    fn new_groups_reach_the_retired_table_and_flushed_groups_stay_gone() {
+        let mut conc = ConcurrentEngine::new(spec(), 2).unwrap();
+        let mut twin = ShardedEngine::new(spec(), 2).unwrap();
+        // The snapshot the second commit reuses is epoch 0's — retired
+        // before any group existed — and is behind by both batches' groups.
+        for batch in [rows_over(9, 0, 3), rows_over(9, 3, 3)] {
+            commit(&conc, &mut twin, batch);
+        }
+        assert_eq!(copied(&conc), 2);
+        assert_eq!(conc.num_groups(), 6);
+        assert_published_equals(&conc, &twin, "after two commits");
+
+        // A flush is not a batch commit: it copies, and discards the
+        // retired table with the groups it still lists.
+        assert_eq!(conc.flush_window().unwrap(), twin.flush_window().unwrap());
+        assert_eq!(copied(&conc), 4);
+        for _ in 0..3 {
+            commit(&conc, &mut twin, rows_over(8, 0, 2));
+            assert_eq!(conc.groups(), vec![row![0u64], row![1u64]]);
+        }
+        // One copy per shard to start over, reuse from then on.
+        assert_eq!(copied(&conc), 6);
+        assert_published_equals(&conc, &twin, "after the flush");
     }
 }

@@ -109,15 +109,18 @@ pub struct SketchEngine {
     pub(crate) metrics: EngineMetrics,
 }
 
+/// What one batch touched, with what a rollback puts back (`Some` = pre-batch
+/// state, `None` = delete it). A commit hands it on: its keys are the delta.
+pub(crate) type Touched = HashMap<Vec<Value>, Option<Arc<[AggState]>>>;
+
 /// Incremental undo log for one in-flight batch: only groups the batch
-/// touches are saved (`Some` = pre-batch state to restore, `None` = group
-/// created by this batch, to delete), so checkpoint cost scales with the
-/// batch's group footprint rather than the whole engine. A saved state is
-/// the pre-batch pointer itself when anyone else also holds it, and a
-/// private copy when nobody does (see [`SketchEngine::ingest_row`]).
+/// touches are saved, so checkpoint cost scales with the batch's group
+/// footprint rather than the whole engine. A saved state is the pre-batch
+/// pointer itself when anyone else also holds it, and a private copy when
+/// nobody does (see [`SketchEngine::ingest_row`]).
 #[derive(Debug, Clone, Default)]
 struct BatchCheckpoint {
-    touched: HashMap<Vec<Value>, Option<Arc<[AggState]>>>,
+    touched: Touched,
     rows_processed: u64,
     dead_count: u64,
     dead_samples: usize,
@@ -352,9 +355,28 @@ impl SketchEngine {
         });
     }
 
-    /// Discards the undo log, keeping everything the batch ingested.
-    pub(crate) fn commit_batch(&mut self) {
-        self.checkpoint = None;
+    /// Ends the undo log, keeping everything the batch ingested, and returns
+    /// what it touched: moved out, so discarding it costs the drop it always did.
+    pub(crate) fn commit_batch(&mut self) -> Touched {
+        self.checkpoint.take().unwrap_or_default().touched
+    }
+
+    /// `clone_from` at O(touched): brings an older clone of `live` up to date
+    /// given the batches `live` committed since (nothing else having changed its
+    /// groups) — its pointer for every key they touched, then all the scalars.
+    pub(crate) fn catch_up(&mut self, live: &Self, behind: [&Touched; 2]) {
+        for key in behind.into_iter().flat_map(HashMap::keys) {
+            match (live.groups.get(key), self.groups.get_mut(key)) {
+                (Some(state), Some(stale)) => *stale = Arc::clone(state),
+                (Some(state), None) => drop(self.groups.insert(key.clone(), Arc::clone(state))),
+                (None, _) => drop(self.groups.remove(key)),
+            }
+        }
+        self.rows_processed = live.rows_processed;
+        self.fault_policy = live.fault_policy;
+        self.dead_letters.clone_from(&live.dead_letters);
+        self.injector.clone_from(&live.injector);
+        self.metrics.clone_from(&live.metrics);
     }
 
     /// Restores the exact pre-batch state from the undo log: touched groups

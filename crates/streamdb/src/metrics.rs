@@ -97,6 +97,8 @@ pub mod names {
     /// Shard snapshots published by a concurrent engine (commit, window
     /// flush, or merge).
     pub const SNAPSHOTS_PUBLISHED: &str = "snapshots_published_total";
+    /// Those of them that copied a shard's whole table, not only what a batch touched.
+    pub const SNAPSHOTS_COPIED: &str = "snapshots_copied_total";
 
     /// The per-shard routed-row gauge name, `shard_rows_routed{shard="i"}`.
     #[must_use]

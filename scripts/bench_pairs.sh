@@ -14,12 +14,19 @@
 # for neither side). BENCH_TRACE=1 makes the runs traced ones, so the
 # metrics are the per-layer ladder instead of the end-to-end set.
 #
+# Then, for each end-to-end metric, the spread check the driver applies
+# before it will compare medians at all: the middle half (q3 - q1) of the
+# change's runs against that metric's `bound` (read from BENCHMARK.json)
+# times the parent's median — `ok` at or under it, `SPREAD` over it. The
+# bound is absolute, so a metric the change makes larger carries a
+# proportionally larger spread into the same allowance.
+#
 # Exit status: 0 when every run on both sides reported failed = 0 and
 # correct = true; 1 otherwise; 2 on a usage error. Needs cargo and jq.
 set -euo pipefail
 
 if [[ $# -lt 4 || $# -gt 5 ]]; then
-    sed -n '2,18p' "$0" >&2
+    sed -n '2,25p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -67,12 +74,15 @@ for ((i = 0; i < pairs; i++)); do
     fi
 done
 
+# Order statistics both summaries below share.
+stats='
+    def quantile(q): sort | .[((length - 1) * q | round)];
+    def median: sort | (.[(length - 1) / 2 | floor] + .[length / 2 | floor]) / 2;'
+
 echo
 echo "== $workload: $pairs pairs, seeds $seed0..$((seed0 + pairs - 1)), --seconds $seconds --trace $trace"
 echo "== metric (better): parent median [q1 .. q3] -> change median [q1 .. q3], change wins / pairs"
-jq -r -s --slurpfile decl "$decl" '
-    def quantile(q): sort | .[((length - 1) * q | round)];
-    def median: sort | (.[(length - 1) / 2 | floor] + .[length / 2 | floor]) / 2;
+jq -r -s --slurpfile decl "$decl" "$stats"'
     def summary: "\(median) [\(quantile(0.25)) .. \(quantile(0.75))]";
     (($decl[0].end_to_end + $decl[0].per_layer) | map({(.name): .better}) | add) as $better
     | . as $runs
@@ -84,6 +94,22 @@ jq -r -s --slurpfile decl "$decl" '
         | if $better[$m] == "higher" then $c[.] > $p[.] else $c[.] < $p[.] end]
         | map(select(.)) | length) as $wins
     | "\($m) (\($better[$m] // "?")): \([$p[] | values] | summary) -> \([$c[] | values] | summary), \($wins) / \($p | length)"
+' "$runs"
+
+echo "== spread: change IQR / (bound x parent median); SPREAD = the runs spread too widely to compare"
+jq -r -s --slurpfile decl "$decl" "$stats"'
+    def values_of($side; $m): map(select(.side == $side) | .result.metrics[$m].value | values);
+    . as $runs
+    | $decl[0].end_to_end[]
+    | .name as $m | .bound as $bound
+    | ($runs | values_of("parent"; $m)) as $p
+    | ($runs | values_of("change"; $m)) as $c
+    | select(($p | length) > 0 and ($c | length) > 0)
+    | (($c | quantile(0.75)) - ($c | quantile(0.25))) as $iqr
+    | ($bound * ($p | median)) as $allowed
+    | if $allowed == 0 then "\($m): change IQR \($iqr), parent median 0: n/a"
+      else "\($m): change IQR \($iqr) / (\($bound) x \($p | median) = \($allowed * 1e6 | round / 1e6)) = \($iqr / $allowed * 100 | round / 100) \(if $iqr <= $allowed then "ok" else "SPREAD" end)"
+      end
 ' "$runs"
 
 bad=$(jq -s 'map(select(.result.failed > 0 or .result.correct != true)) | length' "$runs")
