@@ -659,7 +659,7 @@ pub fn e24() {
 }
 
 /// E25: concurrent serving — reads are answered at every point while
-/// batches are in flight (polled between every ticket probe AND from
+/// batches are in flight (probed while another thread submits AND from
 /// free-running reader threads), publish lag never exceeds one submitted
 /// batch, and at quiescence the served state matches the sequential engine
 /// group for group and the sharded engine byte for byte.
@@ -696,16 +696,24 @@ pub fn e25() {
     let hot_keys = wl.query_keys(64);
     let n = num_batches * batch;
 
-    // Phase 1: polled ingest. Between every poll of the in-flight ticket
-    // the hot groups are queried; every probe must answer from the last
-    // published epoch without blocking on the ingest work.
+    // Phase 1: probed ingest. A scoped thread submits the batches (a
+    // submit runs its batch on the submitting thread); until its last
+    // batch returns, the main thread queries the hot groups and the lag
+    // gauge. Every probe must answer from the last published epoch
+    // without blocking on the ingest work.
     let engine = ConcurrentEngine::new(spec.clone(), shards).unwrap();
     let mut inflight_reads = 0u64;
     let mut max_lag = 0u64;
     let start = Instant::now();
-    for rows in &batches {
-        let mut ticket = engine.submit_batch(rows.clone());
+    std::thread::scope(|s| {
+        let submitter = s.spawn(|| {
+            for rows in &batches {
+                let result = engine.submit_batch(rows.clone()).wait();
+                assert!(result.is_ok(), "in-flight batch failed: {result:?}");
+            }
+        });
         loop {
+            let last = submitter.is_finished();
             for k in &hot_keys {
                 let _ = engine.report(&[Value::U64(*k)]).unwrap();
                 inflight_reads += 1;
@@ -717,12 +725,12 @@ pub fn e25() {
                 .copied()
                 .unwrap_or(0);
             max_lag = max_lag.max(lag);
-            if let Some(result) = ticket.poll() {
-                assert!(result.is_ok(), "in-flight batch failed: {result:?}");
+            if last {
                 break;
             }
         }
-    }
+        submitter.join().unwrap();
+    });
     let ingest_secs = start.elapsed().as_secs_f64();
     assert_eq!(engine.rows_processed(), n as u64);
     assert!(
@@ -825,10 +833,11 @@ pub fn e25() {
     }
     println!(
         "\n(Reads clone an Arc to the last published per-shard snapshot, so\n\
-         they never wait on ingest: every probe above -- polled between\n\
-         ticket checks and from free-running threads -- answered. Workers\n\
-         publish at commit, so lag is bounded by the one in-flight batch,\n\
-         rollbacks publish nothing, and once every ticket resolves the\n\
-         served state equals the sequential engine on the same rows.)"
+         they never wait on ingest: every probe above -- made while a\n\
+         submitting thread ran its batches and from free-running threads --\n\
+         answered. Workers publish at commit, so lag is bounded by the one\n\
+         in-flight batch, rollbacks publish nothing, and once every submit\n\
+         returns the served state equals the sequential engine on the same\n\
+         rows.)"
     );
 }

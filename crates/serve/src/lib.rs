@@ -42,7 +42,7 @@
 //! Every request can carry a [`sketches_obs::TraceContext`] from the
 //! socket down to the WAL: the server opens a root span (honouring an
 //! incoming `traceparent` header and emitting one on the response), and
-//! each stage — parse, handle, write, submit-queue wait, engine apply,
+//! each stage — parse, handle, write, coordinator-lock wait, engine apply,
 //! epoch publish, WAL append, fsync, checkpoint — closes a child span
 //! *and* records into the shared `stage_latency_seconds{stage=...}`
 //! histogram family. Head sampling ([`tracing::TraceConfig`]) bounds the

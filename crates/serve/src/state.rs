@@ -40,14 +40,6 @@ pub enum Backend {
     },
 }
 
-/// Whether a batch error is the engine's typed poisoned error. A ticket
-/// can resolve via channel disconnect an instant before the supervisor
-/// stores the poison flag, so the flag alone under-reports; the message
-/// check closes that race (the batch was NOT a bad request).
-fn is_poison_panic(e: &BatchError) -> bool {
-    matches!(&e.cause, BatchCause::WorkerPanic(msg) if msg.contains("poisoned"))
-}
-
 /// What one `try_batch` attempt concluded.
 #[derive(Debug)]
 pub enum BatchOutcome {
@@ -100,7 +92,9 @@ impl Backend {
                     recovered: false,
                 },
                 Err(e) => {
-                    if engine.is_poisoned() || is_poison_panic(&e) {
+                    // The engine stores its poison flag before it returns
+                    // the poisoned error, so the flag alone classifies it.
+                    if engine.is_poisoned() {
                         BatchOutcome::Poisoned(e.to_string())
                     } else {
                         BatchOutcome::Rejected(e)
@@ -122,7 +116,7 @@ impl Backend {
                     Err(e) => match &e.cause {
                         BatchCause::Row(_) => BatchOutcome::Rejected(e),
                         BatchCause::WorkerPanic(_) => {
-                            if eng.engine().is_poisoned() || is_poison_panic(&e) {
+                            if eng.engine().is_poisoned() {
                                 BatchOutcome::Poisoned(e.to_string())
                             } else {
                                 BatchOutcome::Rejected(e)
@@ -512,21 +506,11 @@ mod tests {
         let st = state(Backend::Volatile(engine));
         st.ingest(&rows(90), u64::MAX, 0, &untraced());
         st.with_backend(|b| b.inject_coordinator_panic());
-        // The kill is asynchronous; ingest until the poison lands.
-        let mut degraded = false;
-        for _ in 0..200 {
-            match st.ingest(&rows(3), u64::MAX, 1, &untraced()) {
-                IngestOutcome::Degraded(_) => {
-                    degraded = true;
-                    break;
-                }
-                IngestOutcome::Ok { .. } | IngestOutcome::Unavailable { .. } => {
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                }
-                IngestOutcome::Rejected(e) => panic!("unexpected rejection: {e}"),
-            }
+        // The very next ingest finds the engine poisoned.
+        match st.ingest(&rows(3), u64::MAX, 1, &untraced()) {
+            IngestOutcome::Degraded(_) => {}
+            other => panic!("first ingest after the kill: {other:?}"),
         }
-        assert!(degraded, "coordinator kill never degraded the server");
         assert!(st.degraded.load(Ordering::Acquire));
         // Reads still serve the last published epoch.
         assert!(st.reader().rows_processed() >= 90);

@@ -5,25 +5,29 @@
 //! until the batch finishes. [`ConcurrentEngine`] removes that coupling
 //! with the recipe of "Fast Concurrent Data Sketches" (Rinberg et al.),
 //! generalized from one sketch (`sketches-concurrent`'s
-//! `BufferedConcurrent`) to whole per-shard GROUP BY state:
+//! `BufferedConcurrent`) to whole per-shard GROUP BY state: readers work
+//! on immutable snapshots, each writer owns its shard, and nothing
+//! dispatches between them.
 //!
 //! * **Long-lived shard workers.** N worker threads, each *owning* a
 //!   complete [`SketchEngine`] shard for the engine's whole lifetime
 //!   (not scoped per batch). A worker is a thread that runs closures on
 //!   its shard, in the order they arrive — there is no command
-//!   vocabulary to extend. A coordinator thread serializes mutating calls
-//!   (each one a closure it runs on itself, FIFO with ingest) and runs the
-//!   batch protocol it shares with [`ShardedEngine`] — the same
-//!   prevalidation, partition into per-shard row-index lists, supervised
-//!   ingest, and commit-or-roll-back-all — so per-group results stay
-//!   *identical* to the sequential engine. "Hand each worker its list" and
-//!   "tell every worker to commit or roll back" are both `Workers::ask`,
-//!   like every other thing a worker is ever asked to do; a worker
-//!   publishes, when the closure changed visible state, *before* it
-//!   replies.
+//!   vocabulary to extend. "Hand each worker its list" and "tell every
+//!   worker to commit or roll back" are both `Workers::ask`, like every
+//!   other thing a worker is ever asked to do; a worker publishes, when
+//!   the closure changed visible state, *before* it replies.
+//! * **A lock, not a coordinator thread.** The router and the worker pool
+//!   sit behind one mutex. Every submit and every mutator takes it on the
+//!   calling thread and runs there — a batch runs the protocol it shares
+//!   with [`ShardedEngine`]: the same prevalidation, partition into
+//!   per-shard row-index lists, supervised ingest, and
+//!   commit-or-roll-back-all — so per-group results stay *identical* to
+//!   the sequential engine, and lock order is apply order.
 //! * **Submit/poll ingest.** [`ConcurrentEngine::submit_batch`] takes
-//!   `&self`, enqueues the batch, and returns a [`BatchTicket`];
-//!   [`BatchTicket::poll`] / [`BatchTicket::wait`] resolve it to the same
+//!   `&self`, so ingest and queries interleave freely, and returns a
+//!   [`BatchTicket`] once the batch has committed or rolled back;
+//!   [`BatchTicket::poll`] / [`BatchTicket::wait`] hand back the same
 //!   [`BatchSummary`] / [`BatchError`] the synchronous engines report,
 //!   with batch-level rollback and quarantine semantics preserved.
 //! * **One published snapshot per shard, with epochs.** After every
@@ -48,24 +52,25 @@
 //! # Consistency model
 //!
 //! Reads serve the **latest published epoch**: a prefix of the submitted
-//! stream. The lag is bounded by what is queued plus in flight — at most
-//! the submit-queue capacity plus one resolving batch — and is exported
-//! as the `publish_lag_rows` gauge. A batch is published *before* its
-//! ticket resolves, so once [`BatchTicket::wait`] returns, every
-//! subsequent read observes that batch. At quiescence (all tickets
-//! resolved) reports are **byte-identical** to a [`SketchEngine`] fed the
-//! same rows, and snapshots are byte-identical to a [`ShardedEngine`]
-//! with the same shard count — experiment E25 asserts both.
+//! stream. The lag is at most one batch per submitting thread — the one
+//! holding the lock and those waiting for it — and is exported as the
+//! `publish_lag_rows` gauge. A batch is published *before*
+//! [`ConcurrentEngine::submit_batch`] returns, so every read after it
+//! observes that batch. At quiescence (no submit in progress) reports are
+//! **byte-identical** to a [`SketchEngine`] fed the same rows, and
+//! snapshots are byte-identical to a [`ShardedEngine`] with the same
+//! shard count — experiment E25 asserts both.
 //!
 //! # Failure model
 //!
 //! Worker panics during ingest are contained per batch (the shared
 //! `worker_ingest` supervisor) and roll the whole batch back. If a
-//! worker or the coordinator *thread* dies outright, the engine is
-//! **poisoned** ([`ConcurrentEngine::is_poisoned`]): outstanding and
-//! future tickets resolve to a typed [`BatchError`], mutating calls
-//! become typed errors or no-ops, and reads keep serving the last
-//! published epoch — degraded to read-only rather than wedged.
+//! worker *thread* dies outright, or a panic escapes an operation running
+//! under the lock, the engine is **poisoned**
+//! ([`ConcurrentEngine::is_poisoned`]): later submits resolve to a typed
+//! [`BatchError`], mutating calls become typed errors or no-ops — all
+//! without taking the lock — and reads keep serving the last published
+//! epoch: degraded to read-only rather than wedged.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -73,7 +78,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use sketches_core::{SketchError, SketchResult};
 use sketches_obs::{Clock, MetricsSnapshot, Stage, TraceContext};
 
@@ -90,39 +95,29 @@ use crate::snapshot::{self, SnapshotKind};
 use crate::value::{Row, Value};
 use crate::view::{merged_view, EngineView};
 
-/// Capacity of the submit queue, in batches. Submitting beyond it blocks
-/// the caller (backpressure), which also bounds read lag: at most this
-/// many batches plus the one being resolved can be invisible to readers.
-const SUBMIT_QUEUE_DEPTH: usize = 32;
-
 /// Capacity of each worker's op channel. Ops are coarse (one per batch
-/// phase), so a small buffer keeps the coordinator from blocking on
+/// phase), so a small buffer keeps the submitting thread from blocking on
 /// hand-off without queueing meaningful work.
 const WORKER_CMD_DEPTH: usize = 4;
 
-/// How often a blocking [`BatchTicket::wait`] re-checks the poisoned
-/// flag. A live engine resolves the ticket through the channel and never
-/// waits a full tick; the tick only bounds how long a wait on a *dead*
-/// engine can linger before it resolves to the typed poisoned error.
-const POISON_POLL: Duration = Duration::from_millis(25);
+/// What every submit and mutating call reports once the engine is
+/// poisoned: a shard worker died, or a panic escaped a coordinator
+/// operation (see [`ConcurrentEngine::control`]).
+const POISONED: &str = "concurrent engine poisoned: a shard worker or a coordinator operation died";
 
-/// The typed error every ticket and mutating call resolves to once the
-/// engine is poisoned (a worker or coordinator thread died).
 fn poisoned_batch_error() -> BatchError {
     BatchError {
         row: None,
         shard: None,
-        cause: BatchCause::WorkerPanic(
-            "concurrent engine poisoned: a worker or coordinator thread died".to_string(),
-        ),
+        cause: BatchCause::WorkerPanic(POISONED.to_string()),
     }
 }
 
 fn poisoned_sketch_error() -> SketchError {
-    SketchError::incompatible("concurrent engine poisoned: a worker or coordinator thread died")
+    SketchError::incompatible(POISONED)
 }
 
-/// Read-side state shared between the engine handle, the coordinator,
+/// Read-side state shared between the engine handle, its read handles,
 /// and the workers. Everything here is either atomic or swapped under a
 /// lock held only for the pointer exchange.
 #[derive(Debug)]
@@ -134,44 +129,20 @@ struct Shared {
     /// Publish epoch per shard: bumped after each snapshot swap.
     epochs: Vec<AtomicU64>,
     /// Latest published copy of the coordinator's [`Router`] (dead
-    /// letters, metrics, policy), refreshed after every job.
+    /// letters, metrics, policy), refreshed after every operation.
     router: RwLock<Router>,
     /// Rows handed to `submit_batch` so far.
     rows_submitted: AtomicU64,
     /// Rows whose batch has resolved (committed *or* rolled back).
     rows_resolved: AtomicU64,
-    /// Ingest jobs submitted but not yet resolved.
+    /// Submit calls waiting for or holding the coordinator lock.
     queue_depth: AtomicU64,
     /// Snapshot publishes across all shards (commit, flush, merge).
     snapshots_published: AtomicU64,
     /// Those of them that copied the shard's whole group table.
     snapshots_copied: AtomicU64,
-    /// Set when a worker or the coordinator thread dies.
+    /// Set when a worker dies or a panic escapes a coordinator operation.
     poisoned: AtomicBool,
-}
-
-/// What the engine handle queues for the coordinator thread. One bounded
-/// queue serializes all mutations, so effects are applied (and published)
-/// in submission order.
-enum Job {
-    Ingest {
-        rows: Vec<Row>,
-        /// The request's trace handle (disabled on untraced batches).
-        ctx: TraceContext,
-        /// Clock reading at submit, for the queue-wait stage; `None` when
-        /// neither metrics nor tracing needed it. (An `Option` rather
-        /// than a zero sentinel: a fresh [`sketches_obs::MonotonicClock`]
-        /// anchors at its first read, so a legitimate reading can be 0.)
-        submitted_at: Option<u64>,
-        done: channel::Sender<Result<BatchSummary, BatchError>>,
-    },
-    /// Everything else a handle method needs done: a closure the
-    /// coordinator runs on itself (see [`ConcurrentEngine::control`]).
-    Control(Box<dyn FnOnce(&mut Coordinator) + Send>),
-    /// Drill hook: the coordinator panics in place (sudden death), which
-    /// its supervisor turns into engine poisoning.
-    Crash,
-    Shutdown,
 }
 
 /// What a shard worker runs: a closure over the shard it owns and the
@@ -187,92 +158,44 @@ enum Changed {
     All,
 }
 
-/// A pending batch: resolves to the same summary/error the synchronous
-/// engines report, once the coordinator has committed or rolled back.
-///
-/// Dropping a ticket is allowed — the batch still commits (or rolls
-/// back); only the notification is discarded.
+/// A resolved batch: the same summary/error the synchronous engines
+/// report. [`ConcurrentEngine::submit_batch`] returns it once the batch
+/// has committed (and published) or rolled back, so every method answers
+/// at once.
 #[derive(Debug)]
 pub struct BatchTicket {
-    rx: channel::Receiver<Result<BatchSummary, BatchError>>,
-    resolved: Option<Result<BatchSummary, BatchError>>,
-    shared: Arc<Shared>,
+    result: Result<BatchSummary, BatchError>,
 }
 
 impl BatchTicket {
-    /// Checks for the batch outcome without blocking. Returns `None`
-    /// while the batch is still queued or in flight; once resolved, every
-    /// call returns the same outcome.
+    /// The batch outcome, without blocking: always `Some`, and the same
+    /// outcome on every call.
     pub fn poll(&mut self) -> Option<&Result<BatchSummary, BatchError>> {
-        if self.resolved.is_none() {
-            match self.rx.try_recv() {
-                Ok(result) => self.resolved = Some(result),
-                Err(channel::TryRecvError::Empty) => {}
-                Err(channel::TryRecvError::Disconnected) => {
-                    self.resolved = Some(Err(poisoned_batch_error()));
-                }
-            }
-        }
-        self.resolved.as_ref()
+        Some(&self.result)
     }
 
-    /// Blocks until the batch resolves.
-    ///
-    /// A dead coordinator cannot hang this call: besides resolving on
-    /// channel disconnect, the wait re-checks the engine's poisoned flag
-    /// every `POISON_POLL` tick, so a job stranded in the submit queue
-    /// of a dead engine still resolves to the typed poisoned error.
+    /// The batch outcome.
     ///
     /// # Errors
     /// The batch's [`BatchError`] (poison row, injected fault, contained
     /// panic — the engine rolled back), or a `WorkerPanic` error if the
-    /// engine was poisoned before the batch could resolve. The poisoned
+    /// engine was poisoned before or while the batch ran. The poisoned
     /// error is *indeterminate*: the batch may or may not have committed
-    /// before the thread died.
-    pub fn wait(mut self) -> Result<BatchSummary, BatchError> {
-        if let Some(result) = self.resolved.take() {
-            return result;
-        }
-        loop {
-            match self.rx.recv_timeout(POISON_POLL) {
-                Ok(result) => return result,
-                Err(channel::RecvTimeoutError::Disconnected) => {
-                    return Err(poisoned_batch_error());
-                }
-                Err(channel::RecvTimeoutError::Timeout) => {
-                    if self.shared.poisoned.load(Ordering::Acquire) {
-                        // Grace drain: a resolution racing the poison flag
-                        // (sent just before the thread died) still wins.
-                        return match self.rx.try_recv() {
-                            Ok(result) => result,
-                            Err(_) => Err(poisoned_batch_error()),
-                        };
-                    }
-                }
-            }
-        }
+    /// on every shard before the engine died.
+    pub fn wait(self) -> Result<BatchSummary, BatchError> {
+        self.result
     }
 
-    /// Blocks for at most `timeout` waiting for the batch to resolve.
-    /// Returns the outcome on resolution (including the typed poisoned
-    /// error on disconnect); gives the ticket back on timeout so the
-    /// caller can keep polling or waiting.
+    /// The batch outcome, as [`wait`](Self::wait) returns it; never
+    /// waits, so the timeout never elapses.
     ///
     /// # Errors
-    /// `Err(self)` when the timeout elapsed with the batch still queued
-    /// or in flight.
+    /// Never `Err(self)`: the ticket is resolved when it is handed out.
     pub fn wait_timeout(
-        mut self,
-        timeout: Duration,
+        self,
+        _timeout: Duration,
     ) -> Result<Result<BatchSummary, BatchError>, Self> {
-        if let Some(result) = self.resolved.take() {
-            return Ok(result);
-        }
-        match self.rx.recv_timeout(timeout) {
-            Ok(result) => Ok(result),
-            Err(channel::RecvTimeoutError::Disconnected) => Ok(Err(poisoned_batch_error())),
-            Err(channel::RecvTimeoutError::Timeout) => Err(self),
-        }
+        Ok(self.result)
     }
 }
 
@@ -281,10 +204,12 @@ impl BatchTicket {
 /// snapshots for wait-free-style reads (see the module docs).
 #[derive(Debug)]
 pub struct ConcurrentEngine {
-    submit_tx: channel::Sender<Job>,
+    /// The write side: every submit and mutator runs under this lock, on
+    /// the calling thread (see [`control`](Self::control)). Boxed to keep
+    /// the engine a handle-sized value.
+    coordinator: Box<Mutex<Coordinator>>,
     /// The read side: every read accessor below delegates to it.
     reads: ReadHandle,
-    coordinator: Option<std::thread::JoinHandle<()>>,
 }
 
 impl ConcurrentEngine {
@@ -314,8 +239,7 @@ impl ConcurrentEngine {
 
     /// Assembles the engine around pre-built shards sharing one spec and
     /// config (fresh construction and snapshot restore share this path):
-    /// publishes epoch-0 snapshots, spawns the workers, then the
-    /// coordinator.
+    /// publishes epoch-0 snapshots and spawns the workers.
     fn from_shards(shards: Vec<SketchEngine>) -> Self {
         let router = Router::new(shards[0].spec.clone());
         let shared = Arc::new(Shared {
@@ -354,31 +278,19 @@ impl ConcurrentEngine {
             }));
         }
 
-        let (submit_tx, submit_rx) = channel::bounded::<Job>(SUBMIT_QUEUE_DEPTH);
-        let coordinator_shared = Arc::clone(&shared);
-        let coordinator = std::thread::spawn(move || {
-            let mut coordinator = Coordinator { router, workers };
-            // Borrowed, not moved: no ticket may disconnect before the flag is up.
-            // lint: panic-boundary(coordinator supervisor: a dying coordinator must poison the engine, not abort the process)
-            let caught = catch_unwind(AssertUnwindSafe(|| coordinator.run(&submit_rx)));
-            if caught.is_err() {
-                coordinator_shared.poisoned.store(true, Ordering::Release);
-            }
-        });
-
         Self {
-            submit_tx,
+            coordinator: Box::new(Mutex::new(Coordinator { router, workers })),
             reads: ReadHandle { shared },
-            coordinator: Some(coordinator),
         }
     }
 
-    /// Enqueues a batch for ingest and returns a ticket, **without**
-    /// taking `&mut self`: ingest and queries interleave freely. Blocks
-    /// only if the submit queue (capacity `SUBMIT_QUEUE_DEPTH` batches)
-    /// is full — backpressure that also bounds read lag.
+    /// Ingests a batch on the calling thread and returns its resolved
+    /// ticket, **without** taking `&mut self`: ingest and queries
+    /// interleave freely. Blocks until the batch has committed (and
+    /// published) or rolled back, behind any submit or mutator already
+    /// holding the coordinator lock.
     ///
-    /// Batches are applied in submission order with the transactional
+    /// Batches are applied in lock order with the transactional
     /// semantics of [`ShardedEngine::process_batch`]: all-or-nothing,
     /// quarantine per [`FaultPolicy`], typed errors on failure.
     pub fn submit_batch(&self, rows: Vec<Row>) -> BatchTicket {
@@ -386,15 +298,18 @@ impl ConcurrentEngine {
     }
 
     /// [`submit_batch`](Self::submit_batch) carrying a request's
-    /// [`TraceContext`]: the coordinator closes a `queue_wait` child span
-    /// (submit to dequeue) plus `engine_apply` and `publish` spans under
-    /// the request's root, and records the same durations into the
+    /// [`TraceContext`]: closes a `queue_wait` child span (submit to lock
+    /// acquired) plus `engine_apply` and `publish` spans under the
+    /// request's root, and records the same durations into the
     /// `stage_latency{stage=...}` histograms.
     pub fn submit_batch_traced(&self, rows: Vec<Row>, ctx: TraceContext) -> BatchTicket {
         let shared = &self.reads.shared;
         let n = rows.len() as u64;
-        // One clock read on the submit path, and only when someone will
+        // One clock read before the lock, and only when someone will
         // consume it: the queue-wait stage needs the submit timestamp.
+        // (An `Option` rather than a zero sentinel: a fresh
+        // `sketches_obs::MonotonicClock` anchors at its first read, so a
+        // legitimate reading can be 0.)
         let submitted_at = {
             let router = shared.router.read();
             if router.metrics.enabled || ctx.is_sampled() {
@@ -403,33 +318,31 @@ impl ConcurrentEngine {
                 None
             }
         };
-        let (done_tx, done_rx) = channel::bounded(1);
         shared.rows_submitted.fetch_add(n, Ordering::Relaxed);
         shared.queue_depth.fetch_add(1, Ordering::Relaxed);
-        if let Err(channel::SendError(job)) = self.submit_tx.send(Job::Ingest {
-            rows,
-            ctx,
-            submitted_at,
-            done: done_tx,
-        }) {
-            // Coordinator is gone: resolve the ticket immediately with the
-            // poisoned error and undo the submission accounting.
-            shared.rows_resolved.fetch_add(n, Ordering::Relaxed);
-            shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            if let Job::Ingest { done, .. } = job {
-                let _ = done.send(Err(poisoned_batch_error()));
-            }
-        }
-        BatchTicket {
-            rx: done_rx,
-            resolved: None,
-            shared: Arc::clone(shared),
-        }
+        let result = self
+            .control(|c| {
+                if let Some(submitted_at) = submitted_at {
+                    let locked = c.router.metrics.clock.now_nanos();
+                    if c.router.metrics.enabled {
+                        c.router
+                            .metrics
+                            .stage_queue_wait
+                            .record_nanos(locked.saturating_sub(submitted_at));
+                    }
+                    ctx.child(Stage::QueueWait, submitted_at, locked);
+                }
+                c.handle_ingest(rows, &ctx)
+            })
+            .unwrap_or_else(|| Err(poisoned_batch_error()));
+        shared.rows_resolved.fetch_add(n, Ordering::Relaxed);
+        shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        BatchTicket { result }
     }
 
-    /// Whether a worker or coordinator thread has died. A poisoned engine
-    /// keeps serving reads from the last published epoch; every mutation
-    /// resolves to a typed error.
+    /// Whether a worker has died or a panic escaped a coordinator
+    /// operation. A poisoned engine keeps serving reads from the last
+    /// published epoch; every mutation resolves to a typed error.
     #[must_use]
     pub fn is_poisoned(&self) -> bool {
         self.reads.is_poisoned()
@@ -445,36 +358,48 @@ impl ConcurrentEngine {
         self.reads.clone()
     }
 
-    /// Drill hook: kills the coordinator thread with an injected panic
-    /// (sudden death, no worker shutdown), exactly what a crashed
-    /// coordinator looks like in production. The supervisor poisons the
-    /// engine; reads keep serving the last published epoch and every
-    /// outstanding or future mutation resolves to a typed error. Pair
-    /// with [`silence_injected_panics`](crate::silence_injected_panics)
-    /// to keep drill output clean.
+    /// Drill hook: an injected panic under the coordinator lock (sudden
+    /// death mid-operation, no worker shutdown), exactly what a crashing
+    /// batch protocol looks like in production. The engine is poisoned
+    /// before this returns; reads keep serving the last published epoch
+    /// and every later mutation resolves to a typed error. Waits behind a
+    /// batch that holds the lock. Pair with
+    /// [`silence_injected_panics`](crate::silence_injected_panics) to keep
+    /// drill output clean.
     pub fn inject_coordinator_panic(&self) {
-        let _ = self.submit_tx.send(Job::Crash);
+        self.control::<()>(|_| {
+            // lint: panic-ok(drill hook: deterministic injected coordinator death, contained by the control boundary which poisons the engine)
+            panic!("{INJECTED_PANIC_MARKER}: injected coordinator crash (drill)")
+        });
     }
 
-    /// Runs `f` on the coordinator thread and returns what it returned:
-    /// the one round trip behind every blocking mutator. The closure
-    /// queues FIFO with ingest — every batch submitted before this call
-    /// is resolved first — and the router is republished before the
-    /// answer comes back, so whatever `f` changed there (policy, clock,
-    /// dead letters) is visible to reads and to the next submit. `None`
-    /// when the coordinator is gone: the queue or the reply disconnected.
-    fn control<T: Send + 'static>(
-        &self,
-        f: impl FnOnce(&mut Coordinator) -> T + Send + 'static,
-    ) -> Option<T> {
-        let (reply_tx, reply_rx) = channel::bounded(1);
-        let job = Job::Control(Box::new(move |coordinator| {
-            let reply = f(coordinator);
+    /// Runs `f` on the coordinator under its lock, on the calling thread,
+    /// and returns what it returned: the one path behind every submit and
+    /// every mutator, so lock order is apply order. The router is
+    /// republished before the lock is released, so whatever `f` changed
+    /// there (policy, clock, dead letters) is visible to reads and to the
+    /// next submit. `None` on a poisoned engine — checked before the lock
+    /// is taken and again once it is held — and when `f` panics, which
+    /// poisons the engine before the lock is released.
+    fn control<T>(&self, f: impl FnOnce(&mut Coordinator) -> T) -> Option<T> {
+        if self.is_poisoned() {
+            return None;
+        }
+        let mut coordinator = self.coordinator.lock();
+        if self.is_poisoned() {
+            return None;
+        }
+        // lint: panic-boundary(coordinator boundary: a panic under the lock poisons the engine instead of unwinding into the caller)
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            // lint: guard-scope(the lock exists to order batches and control ops; f waits only on shard workers, which never take it)
+            let out = f(&mut coordinator);
             coordinator.publish_router();
-            let _ = reply_tx.send(reply);
+            out
         }));
-        self.submit_tx.send(job).ok()?;
-        reply_rx.recv().ok()
+        if caught.is_err() {
+            self.reads.shared.poisoned.store(true, Ordering::Release);
+        }
+        caught.ok()
     }
 
     /// The slim query-side view of the latest published epoch, cut on
@@ -531,9 +456,9 @@ impl ConcurrentEngine {
         self.reads.fault_policy()
     }
 
-    /// Sets the poison-row policy, blocking until the coordinator has
-    /// mirrored it into every worker (so the next submitted batch sees
-    /// it). No-op on a poisoned engine.
+    /// Sets the poison-row policy on the router and every worker (so the
+    /// next submitted batch sees it). No-op on a poisoned engine, router
+    /// included.
     pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
         self.control(move |c| {
             c.router.set_fault_policy(policy);
@@ -605,10 +530,10 @@ impl ConcurrentEngine {
         });
     }
 
-    /// Finishes a tumbling window against the *worker* state (every
-    /// submitted batch ahead of this call is applied first — jobs are
-    /// FIFO): every group's report in ascending key order, then a full
-    /// reset, published as a new epoch.
+    /// Finishes a tumbling window against the *worker* state (every batch
+    /// whose submit returned before this call is in it): every group's
+    /// report in ascending key order, then a full reset, published as a
+    /// new epoch.
     ///
     /// # Errors
     /// Propagates report errors, or a typed error on a poisoned engine.
@@ -632,9 +557,9 @@ impl ConcurrentEngine {
     }
 
     /// Merges another concurrent engine's **latest published epoch** into
-    /// this one (distributed GROUP BY). Quiesce `other` first (resolve
-    /// its tickets) to merge its complete state; shard counts must match,
-    /// as for [`ShardedEngine::merge`].
+    /// this one (distributed GROUP BY). Quiesce `other` first (no submit
+    /// to it still running) to merge its complete state; shard counts
+    /// must match, as for [`ShardedEngine::merge`].
     ///
     /// # Errors
     /// Returns an error if shard counts or specs/configs differ, or if
@@ -730,8 +655,8 @@ impl ReadHandle {
     }
 
     /// Whether the engine behind this handle has been poisoned (a worker
-    /// or coordinator thread died) — or dropped outright, which poisons
-    /// nothing but stops all publishing.
+    /// died, or a panic escaped a coordinator operation) — or dropped
+    /// outright, which poisons nothing but stops all publishing.
     #[must_use]
     pub fn is_poisoned(&self) -> bool {
         self.shared.poisoned.load(Ordering::Acquire)
@@ -859,14 +784,9 @@ impl ReadHandle {
 
 impl Drop for ConcurrentEngine {
     fn drop(&mut self) {
-        // FIFO shutdown: every batch submitted before the drop still
-        // resolves (its ticket may already be gone, but the state effects
-        // land) before workers are joined.
-        // lint: drop-ok(shutdown send on the engine's own channel; the coordinator drains it and is joined right below, and a send error means it already exited)
-        let _ = self.submit_tx.send(Job::Shutdown);
-        if let Some(handle) = self.coordinator.take() {
-            let _ = handle.join();
-        }
+        // Every submit borrows the engine, so none is running: every batch
+        // submitted before the drop has resolved. Only the workers are left.
+        self.coordinator.get_mut().workers.shutdown();
     }
 }
 
@@ -909,8 +829,7 @@ fn publish(
 
 /// One long-lived shard worker: owns its [`SketchEngine`] for the
 /// engine's lifetime and runs the ops it is sent on it, in order. It ends
-/// when the coordinator drops its sender (shutdown, or a dead coordinator
-/// whose own supervisor flags the poisoning); a panic inside an op unwinds
+/// when the engine's drop drops its sender; a panic inside an op unwinds
 /// into the worker's supervisor, which poisons the engine.
 fn worker_main(
     mut shard: SketchEngine,
@@ -928,6 +847,7 @@ fn worker_main(
 /// The coordinator's side of the worker pool: the one way to have a shard
 /// worker do something ([`ask`](Self::ask)) and the one way to have all of
 /// them do it ([`on_shards`](Self::on_shards)).
+#[derive(Debug)]
 struct Workers {
     txs: Vec<channel::Sender<ShardOp>>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -993,59 +913,18 @@ impl Workers {
     }
 }
 
-/// The coordinator: drains the submit queue, serializing every mutation
-/// across the worker pool. It owns the [`Router`] and runs its batch
-/// protocol — the one [`ShardedEngine::process_batch`] runs — over the
-/// workers. Two fields, so that a router call can take a closure over the
-/// workers (disjoint borrows).
+/// The coordinator: what the engine's lock guards, serializing every
+/// mutation across the worker pool. It owns the [`Router`] and runs its
+/// batch protocol — the one [`ShardedEngine::process_batch`] runs — over
+/// the workers. Two fields, so that a router call can take a closure over
+/// the workers (disjoint borrows).
+#[derive(Debug)]
 struct Coordinator {
     router: Router,
     workers: Workers,
 }
 
 impl Coordinator {
-    fn run(&mut self, jobs: &channel::Receiver<Job>) {
-        // A disconnected queue (the handle always sends a Shutdown, but be
-        // safe) ends the loop the way Shutdown does.
-        while let Ok(job) = jobs.recv() {
-            match job {
-                Job::Ingest {
-                    rows,
-                    ctx,
-                    submitted_at,
-                    done,
-                } => {
-                    let n = rows.len() as u64;
-                    if let Some(submitted_at) = submitted_at {
-                        let dequeued = self.router.metrics.clock.now_nanos();
-                        if self.router.metrics.enabled {
-                            self.router
-                                .metrics
-                                .stage_queue_wait
-                                .record_nanos(dequeued.saturating_sub(submitted_at));
-                        }
-                        ctx.child(Stage::QueueWait, submitted_at, dequeued);
-                    }
-                    let result = self.handle_ingest(rows, &ctx);
-                    self.publish_router();
-                    let shared = &self.workers.shared;
-                    shared.rows_resolved.fetch_add(n, Ordering::Relaxed);
-                    shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                    // Resolve *after* publishing: a resolved ticket
-                    // guarantees reads observe the batch.
-                    let _ = done.send(result);
-                }
-                Job::Control(f) => f(self),
-                Job::Crash => {
-                    // lint: panic-ok(drill hook: deterministic injected coordinator death, contained by the coordinator supervisor which poisons the engine)
-                    panic!("{INJECTED_PANIC_MARKER}: injected coordinator crash (drill)");
-                }
-                Job::Shutdown => break,
-            }
-        }
-        self.workers.shutdown();
-    }
-
     /// Publishes the router-level state (dead letters, metrics, policy)
     /// so reads see it without touching the coordinator.
     fn publish_router(&self) {
@@ -1472,8 +1351,8 @@ mod tests {
             Ok(result) => assert!(result.is_ok(), "{result:?}"),
             Err(_) => panic!("resolved batch timed out"),
         }
-        // Zero-duration timeout on a fresh submission usually hands the
-        // ticket back; waiting on it then resolves normally.
+        // A ticket is resolved when submit returns, so even a 1 ns timeout
+        // answers with the outcome; the `Err(ticket)` arm is the signature's.
         let t = conc.submit_batch(rows(5_000, 3));
         match t.wait_timeout(Duration::from_nanos(1)) {
             Ok(result) => assert!(result.is_ok(), "{result:?}"),
@@ -1634,7 +1513,8 @@ mod tests {
             .map(|chunk| conc.submit_batch(chunk.to_vec()))
             .collect();
         drop(conc);
-        // Every submitted batch still resolved (FIFO before shutdown).
+        // Every ticket resolved before its submit returned, so dropping the
+        // engine right after, unwaited, loses none of them.
         for t in &mut tickets {
             assert!(t.poll().expect("resolved by shutdown").is_ok());
         }
@@ -1645,7 +1525,8 @@ mod tests {
         let mut conc = ConcurrentEngine::new(spec(), 2).unwrap();
         let mut tickets: Vec<BatchTicket> =
             (0..8).map(|_| conc.submit_batch(rows(30, 5))).collect();
-        // Queued behind all 8 batches, so the window it closes holds them.
+        // Runs after all 8 batches released the lock, so the window it
+        // closes holds them.
         let window = conc.flush_window().unwrap();
         let counted: u64 = window
             .iter()
@@ -1656,7 +1537,7 @@ mod tests {
             .sum();
         assert_eq!(counted, 8 * 30);
         assert_eq!(conc.rows_processed(), 0);
-        // And each of them resolved before the flush even started.
+        // And each of them resolved before the flush took the lock.
         for t in &mut tickets {
             assert!(t.poll().expect("resolved ahead of the flush").is_ok());
         }
@@ -1722,6 +1603,142 @@ mod tests {
         assert!(err.to_string().contains("poisoned"), "{err}");
         assert_eq!(conc.to_snapshot_bytes(), before);
         assert!(conc.report(&row![1u64]).unwrap().is_some());
+    }
+
+    // ---- No coordinator thread: a submit runs under the coordinator lock
+    // on the caller's thread. ----
+
+    #[test]
+    fn a_returned_submit_is_already_published() {
+        let conc = ConcurrentEngine::new(spec(), 3).unwrap();
+        let mut expected = 0u64;
+        for (i, chunk) in rows(900, 7).chunks(300).enumerate() {
+            let mut ticket = conc.submit_batch(chunk.to_vec());
+            expected += chunk.len() as u64;
+            // Before any wait: the rows are readable, every shard's epoch
+            // has moved, and nothing is left unresolved.
+            assert_eq!(conc.rows_processed(), expected);
+            let gauges = conc.metrics().gauges;
+            for shard in 0..3 {
+                assert_eq!(gauges[&names::publish_epoch(shard)], i as u64 + 1);
+            }
+            assert_eq!(gauges[names::PUBLISH_LAG_ROWS], 0);
+            assert!(matches!(ticket.poll(), Some(Ok(_))));
+        }
+    }
+
+    #[test]
+    fn an_injected_coordinator_panic_poisons_before_it_returns() {
+        crate::fault::silence_injected_panics();
+        let mut conc = ConcurrentEngine::new(spec(), 2).unwrap();
+        let other = ConcurrentEngine::new(spec(), 2).unwrap();
+        conc.submit_batch(rows(200, 5)).wait().unwrap();
+        let policy = conc.fault_policy();
+        let before = conc.to_snapshot_bytes();
+
+        conc.inject_coordinator_panic();
+        assert!(conc.is_poisoned());
+        // Nobody releases the lock from here on: a call that took it would
+        // hang instead of returning its typed error.
+        std::mem::forget(conc.coordinator.lock());
+        let err = conc.submit_batch(rows(10, 5)).wait().unwrap_err();
+        assert!(matches!(err.cause, BatchCause::WorkerPanic(_)), "{err:?}");
+        let incompatible = |r: SketchResult<()>| {
+            assert!(matches!(r, Err(SketchError::Incompatible { .. })), "{r:?}");
+        };
+        incompatible(conc.flush_window().map(drop));
+        incompatible(conc.merge(&other));
+        incompatible(conc.arm_faults(0, FaultInjector::new()));
+        assert!(conc.disarm_faults().is_empty());
+        conc.set_fault_policy(FaultPolicy::Quarantine { max_samples: 3 });
+        conc.set_metrics_enabled(false);
+        conc.set_clock(Arc::new(sketches_obs::ManualClock::new()));
+        conc.inject_coordinator_panic();
+
+        // Router-only state included, nothing changed; the refused submit
+        // left no lag behind.
+        assert_eq!(conc.fault_policy(), policy);
+        assert_eq!(conc.to_snapshot_bytes(), before);
+        let gauges = conc.metrics().gauges;
+        assert_eq!(gauges[names::PUBLISH_LAG_ROWS], 0);
+        assert_eq!(gauges[names::SUBMIT_QUEUE_DEPTH], 0);
+    }
+
+    #[test]
+    fn reads_never_touch_the_coordinator_lock() {
+        let conc = ConcurrentEngine::new(spec(), 2).unwrap();
+        conc.submit_batch(rows(120, 6)).wait().unwrap();
+        let (parked_tx, parked_rx) = channel::bounded::<()>(0);
+        let (release_tx, release_rx) = channel::bounded::<()>(0);
+        let conc = &conc;
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                conc.control(|_| {
+                    parked_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                })
+            });
+            // The other thread holds the lock until these reads are done.
+            parked_rx.recv().unwrap();
+            assert!(conc.report(&row![1u64]).unwrap().is_some());
+            assert_eq!(conc.groups().len(), 6);
+            assert_eq!(conc.metrics().counters[names::ROWS_INGESTED], 120);
+            assert_eq!(conc.query_view().rows_processed(), 120);
+            assert!(ShardedEngine::from_snapshot_bytes(&conc.to_snapshot_bytes()).is_ok());
+            release_tx.send(()).unwrap();
+        });
+    }
+
+    #[test]
+    fn concurrent_submitters_publish_whole_batches() {
+        // 24 rows over 4 groups: every batch adds 6 to each group's COUNT,
+        // so a reader seeing any other multiple saw a torn batch.
+        let (threads, batches, per_batch) = (4u64, 8u64, 6u64);
+        let conc = ConcurrentEngine::new(spec(), 2).unwrap();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut passes = 0u64;
+                loop {
+                    let last = done.load(Ordering::Acquire);
+                    for g in 0..4u64 {
+                        match conc.report(&row![g]).unwrap().as_deref() {
+                            Some([AggregateResult::Count(c), ..]) => {
+                                assert!(c % per_batch == 0, "torn count {c}");
+                            }
+                            Some(other) => panic!("unexpected report {other:?}"),
+                            None => {}
+                        }
+                    }
+                    passes += 1;
+                    if last {
+                        return passes;
+                    }
+                }
+            });
+            let submitters: Vec<_> = (0..threads)
+                .map(|_| {
+                    s.spawn(|| {
+                        for _ in 0..batches {
+                            conc.submit_batch(rows(24, 4)).wait().unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for submitter in submitters {
+                submitter.join().unwrap();
+            }
+            done.store(true, Ordering::Release);
+            assert!(reader.join().unwrap() > 0);
+        });
+        assert_eq!(conc.rows_processed(), threads * batches * 24);
+        for g in 0..4u64 {
+            let report = conc.report(&row![g]).unwrap().unwrap();
+            assert_eq!(
+                report[0],
+                AggregateResult::Count(threads * batches * per_batch)
+            );
+        }
     }
 
     /// Where every group's state lives, by key — the pointer-equality

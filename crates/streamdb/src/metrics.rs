@@ -88,8 +88,8 @@ pub mod names {
     /// Checkpoint epochs examined during recovery (1 on a clean load).
     pub const RECOVERY_EPOCHS_SCANNED: &str = "recovery_epochs_scanned_total";
 
-    /// Ingest jobs submitted to a concurrent engine but not yet resolved
-    /// (gauge).
+    /// Submit calls to a concurrent engine waiting for or holding its
+    /// coordinator lock (gauge).
     pub const SUBMIT_QUEUE_DEPTH: &str = "submit_queue_depth";
     /// Rows submitted to a concurrent engine whose batch has not resolved
     /// yet — the bound on how far published reads lag ingest (gauge).
@@ -149,8 +149,8 @@ pub struct EngineMetrics {
     pub(crate) panics_contained: Counter,
     pub(crate) injected_faults: Counter,
     pub(crate) batch_latency: LatencyHistogram,
-    /// Submit-to-dequeue wait in the concurrent engine's job queue
-    /// (stays empty on engines with no submit queue).
+    /// Submit-to-lock-acquired wait in the concurrent engine (stays empty
+    /// on engines with no coordinator lock).
     pub(crate) stage_queue_wait: LatencyHistogram,
     /// Shard-worker apply time (route + ingest + collect).
     pub(crate) stage_engine_apply: LatencyHistogram,

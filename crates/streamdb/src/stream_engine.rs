@@ -289,8 +289,8 @@ impl StreamEngine for ShardedEngine {
 
 impl StreamEngine for ConcurrentEngine {
     /// Submit-and-wait: the synchronous adapter over the concurrent
-    /// engine's submit/poll API. Rows are cloned into the submit queue
-    /// (the async API owns its rows); the returned ticket is awaited, so
+    /// engine's submit/poll API. Rows are cloned into the batch (the
+    /// submit API owns its rows); the returned ticket is resolved, so
     /// on return the batch is committed *and published* — generic
     /// callers (the durable layer, equivalence tests) observe the same
     /// synchronous semantics as the other engines.
@@ -298,7 +298,7 @@ impl StreamEngine for ConcurrentEngine {
         self.submit_batch(rows.to_vec()).wait()
     }
 
-    /// The traced form threads the context into the submit queue, so the
+    /// The traced form threads the context into the submit, so the
     /// coordinator and shard workers close queue-wait / apply / publish
     /// child spans under the request's root.
     fn process_batch_traced(

@@ -4,7 +4,6 @@
 
 use std::fmt;
 use std::sync::mpsc;
-use std::time::Duration;
 
 /// Error returned when sending on a channel whose receiver is gone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,25 +38,6 @@ impl<T> TrySendError<T> {
 /// Error returned when receiving on an empty, disconnected channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecvError;
-
-/// Error returned by [`Receiver::try_recv`] when no value is ready.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryRecvError {
-    /// The channel is currently empty but senders still exist.
-    Empty,
-    /// The channel is empty and every sender has been dropped.
-    Disconnected,
-}
-
-/// Error returned by [`Receiver::recv_timeout`] when no value arrived.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    /// The timeout elapsed with the channel still empty (senders may
-    /// still exist; a later receive can succeed).
-    Timeout,
-    /// The channel is empty and every sender has been dropped.
-    Disconnected,
-}
 
 enum Tx<T> {
     Bounded(mpsc::SyncSender<T>),
@@ -140,37 +120,6 @@ impl<T> Receiver<T> {
     /// Returns an error when the channel is empty and all senders dropped.
     pub fn recv(&self) -> Result<T, RecvError> {
         self.rx.recv().map_err(|_| RecvError)
-    }
-
-    /// Receives without blocking.
-    ///
-    /// # Errors
-    /// [`TryRecvError::Empty`] when nothing is queued yet,
-    /// [`TryRecvError::Disconnected`] when the channel is drained and all
-    /// senders are gone.
-    pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        self.rx.try_recv().map_err(|e| match e {
-            mpsc::TryRecvError::Empty => TryRecvError::Empty,
-            mpsc::TryRecvError::Disconnected => TryRecvError::Disconnected,
-        })
-    }
-
-    /// Blocks for at most `timeout` waiting for a value.
-    ///
-    /// Matches crossbeam semantics: values already queued are returned
-    /// even if every sender has been dropped; `Disconnected` is reported
-    /// only once the channel is both empty and sender-less, and
-    /// `Timeout` means the wait elapsed while senders were still alive.
-    ///
-    /// # Errors
-    /// [`RecvTimeoutError::Timeout`] when the deadline passes with no
-    /// value, [`RecvTimeoutError::Disconnected`] when the channel is
-    /// drained and all senders are gone.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            mpsc::RecvTimeoutError::Timeout => RecvTimeoutError::Timeout,
-            mpsc::RecvTimeoutError::Disconnected => RecvTimeoutError::Disconnected,
-        })
     }
 
     /// A blocking iterator over received values, ending when all senders
@@ -258,17 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_distinguishes_empty_from_disconnected() {
-        let (tx, rx) = bounded(2);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        tx.send(5).unwrap();
-        assert_eq!(rx.try_recv(), Ok(5));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        drop(tx);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-    }
-
-    #[test]
     fn try_send_distinguishes_full_from_disconnected() {
         let (tx, rx) = bounded(1);
         assert_eq!(tx.try_send(1), Ok(()));
@@ -287,45 +225,6 @@ mod tests {
         }
         drop(rx);
         assert!(matches!(tx.try_send(0), Err(TrySendError::Disconnected(0))));
-    }
-
-    #[test]
-    fn recv_timeout_times_out_then_delivers() {
-        let (tx, rx) = bounded(1);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(10)),
-            Err(RecvTimeoutError::Timeout)
-        );
-        tx.send(9).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(9));
-    }
-
-    #[test]
-    fn recv_timeout_drains_queued_values_before_disconnecting() {
-        // Crossbeam semantics: a queued value beats a dropped sender.
-        let (tx, rx) = bounded(2);
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        drop(tx);
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(1));
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(2));
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(10)),
-            Err(RecvTimeoutError::Disconnected)
-        );
-    }
-
-    #[test]
-    fn recv_timeout_wakes_on_cross_thread_send() {
-        let (tx, rx) = bounded::<u64>(1);
-        crate::thread::scope(|scope| {
-            scope.spawn(move |_| {
-                std::thread::sleep(Duration::from_millis(20));
-                tx.send(77).unwrap();
-            });
-            assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(77));
-        })
-        .expect("join");
     }
 
     #[test]

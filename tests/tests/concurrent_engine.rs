@@ -205,9 +205,10 @@ fn on_demand_views_are_monotone_and_batch_atomic_per_shard() {
     }
 }
 
-/// Pipelined submission: enqueue every ticket before resolving any. The
-/// coordinator applies batches in submission order, the lag gauge reflects
-/// the queued rows, and the final state still matches the sequential run.
+/// Submission before waiting: take every ticket before opening any. Each
+/// submit runs its batch under the coordinator lock and returns it
+/// resolved, so batches apply in submission order, every `wait` answers
+/// at once, and the final state still matches the sequential run.
 #[test]
 fn pipelined_submission_applies_in_order() {
     let batches = serving_batches(23);
@@ -440,10 +441,11 @@ fn snapshot_restore_crosses_topologies() {
 }
 
 /// Shutdown stress: many threads submit batches through shared ownership
-/// and release their handles *before* waiting, so the engine's FIFO
-/// drop-shutdown races with unresolved tickets. Every ticket must still
-/// resolve within a bounded wait — batches submitted before the shutdown
-/// land with their full summary, and nothing hangs or leaks a thread.
+/// and release their handles *before* waiting, so whichever thread drops
+/// the last handle shuts the engine down while others still hold tickets.
+/// Every ticket must answer within a bounded wait — batches submitted
+/// before the shutdown land with their full summary, and nothing hangs or
+/// leaks a thread.
 #[test]
 fn shutdown_with_in_flight_submissions_resolves_every_ticket() {
     use std::sync::Arc;
@@ -453,9 +455,9 @@ fn shutdown_with_in_flight_submissions_resolves_every_ticket() {
     const BATCHES_PER_THREAD: usize = 6;
 
     let batches = serving_batches(211);
-    // 48 submissions against the 32-deep submit queue keep a real backlog
-    // at the coordinator, so tickets are genuinely unresolved when the
-    // last handle drops.
+    // 48 submissions from 8 threads contend for the coordinator lock; a
+    // submit returns its ticket resolved, so the drop can only ever find
+    // threads still holding tickets, never a batch half applied.
     let engine = Arc::new(
         ConcurrentEngine::with_config(spec(), sketches::streamdb::EngineConfig::default(), SHARDS)
             .expect("engine"),
@@ -476,7 +478,7 @@ fn shutdown_with_in_flight_submissions_resolves_every_ticket() {
                 .collect();
             // Release this thread's share of the engine *before* waiting:
             // whichever thread drops the last handle runs the engine's
-            // drop-shutdown while these tickets are still outstanding.
+            // drop-shutdown while these tickets are still unopened.
             drop(engine);
             let mut resolved = 0u64;
             for ticket in tickets {

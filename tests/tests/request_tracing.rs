@@ -1,5 +1,5 @@
 //! Request-tracing contract drills: a `ManualClock` pins an exact
-//! multi-stage span tree from submit queue to fsync (byte-stable across
+//! multi-stage span tree from submit to fsync (byte-stable across
 //! repeated rebuilds), and over real TCP the server emits a `traceparent`
 //! response header, serves head-sampled and slow traces from the
 //! versioned debug endpoints with typed 400s, exposes `/metrics` as JSON
@@ -368,20 +368,9 @@ fn degraded_server_keeps_debug_endpoints_alive() {
     assert_eq!(status, 200, "{resp}");
 
     server.inject_coordinator_panic();
-    let mut flipped = false;
-    for _ in 0..100 {
-        let (status, _, resp) = ingest_rows(addr, 3, 3);
-        if status == 503 {
-            assert!(resp.contains("read_only"), "{resp}");
-            flipped = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(
-        flipped,
-        "poisoned engine never flipped the server read-only"
-    );
+    let (status, _, resp) = ingest_rows(addr, 3, 3);
+    assert_eq!(status, 503, "{resp}");
+    assert!(resp.contains("read_only"), "{resp}");
 
     let (status, _, body) = exchange(addr, "GET", "/readyz", "");
     assert_eq!(status, 503, "readiness goes red while degraded");
