@@ -39,8 +39,6 @@ pub struct FileContext<'a> {
     pub test_mask: Vec<bool>,
     /// Per-token: inside a `macro_rules!` body.
     pub macro_mask: Vec<bool>,
-    /// Per-token: inside a `impl Trait for Type` block.
-    pub trait_impl_mask: Vec<bool>,
     /// Per-token: name of the innermost enclosing named function.
     pub fn_name: Vec<Option<String>>,
     /// Identifiers declared with a `HashMap`/`HashSet` type (fields, params,
@@ -67,7 +65,6 @@ impl<'a> FileContext<'a> {
             attr.iter().any(|t| t.is_ident("test")) && !attr.iter().any(|t| t.is_ident("not"))
         });
         let macro_mask = macro_rules_mask(&lexed.tokens, &brace_match);
-        let trait_impl_mask = trait_impl_body_mask(&lexed.tokens, &brace_match);
         let fn_name = fn_name_map(&lexed.tokens, &brace_match);
         let map_names = collect_map_names(&lexed.tokens);
         let guards = scope::collect_guards(&lexed.tokens, &brace_match);
@@ -81,7 +78,6 @@ impl<'a> FileContext<'a> {
             lexed,
             test_mask,
             macro_mask,
-            trait_impl_mask,
             fn_name,
             map_names,
             guards,
@@ -230,36 +226,6 @@ fn macro_rules_mask(tokens: &[Token], brace_match: &[usize]) -> Vec<bool> {
                 }
             }
         }
-    }
-    mask
-}
-
-/// Marks the bodies of `impl Trait for Type { ... }` blocks.
-fn trait_impl_body_mask(tokens: &[Token], brace_match: &[usize]) -> Vec<bool> {
-    let mut mask = vec![false; tokens.len()];
-    let mut i = 0;
-    while i < tokens.len() {
-        if tokens[i].is_ident("impl") {
-            // Scan the header up to `{`; `for` (not HRTB `for<`) ⇒ trait impl.
-            let mut is_trait_impl = false;
-            let mut j = i + 1;
-            while j < tokens.len() && !tokens[j].is_punct('{') {
-                if tokens[j].is_ident("for")
-                    && !(j + 1 < tokens.len() && tokens[j + 1].is_punct('<'))
-                {
-                    is_trait_impl = true;
-                }
-                j += 1;
-            }
-            if j < tokens.len() && is_trait_impl {
-                for m in mask.iter_mut().take(brace_match[j] + 1).skip(j) {
-                    *m = true;
-                }
-            }
-            i = j + 1;
-            continue;
-        }
-        i += 1;
     }
     mask
 }
@@ -439,25 +405,5 @@ mod tests {
         assert!(c.map_names.contains("idx"));
         assert!(!c.map_names.contains("v"));
         assert!(!c.map_names.contains("seeded"), "seeded hashers are exempt");
-    }
-
-    #[test]
-    fn trait_impls_are_marked() {
-        let c =
-            ctx("impl Clone for S { fn clone(&self) -> S { todo_x() } }\nimpl S { pub fn m() {} }");
-        let clone_body = c
-            .tokens()
-            .iter()
-            .enumerate()
-            .find(|(_, t)| t.is_ident("todo_x"))
-            .map(|(i, _)| c.trait_impl_mask[i]);
-        let m = c
-            .tokens()
-            .iter()
-            .enumerate()
-            .find(|(_, t)| t.is_ident("m"))
-            .map(|(i, _)| c.trait_impl_mask[i]);
-        assert_eq!(clone_body, Some(true));
-        assert_eq!(m, Some(false));
     }
 }

@@ -31,16 +31,17 @@
 //!   [`BatchSummary`] / [`BatchError`] the synchronous engines report,
 //!   with batch-level rollback and quarantine semantics preserved.
 //! * **One published snapshot per shard, with epochs.** After every
-//!   committed batch (and every flush/merge) a worker publishes an
-//!   immutable `Arc<SketchEngine>` snapshot of its shard into a shared
+//!   committed batch (and every flush/merge) a worker publishes the table
+//!   it ingests into, as an immutable `Arc<SketchEngine>`, into a shared
 //!   slot and bumps the shard's epoch counter — the only object writer
-//!   and readers share. It shares every group's state with the live shard
+//!   and readers share. Two tables per shard: the published one, and the
+//!   worker's, which is the next snapshot. They share every group's state
 //!   by pointer; the worker copies a group the first time a later batch
 //!   writes it, never in place (see [`SketchEngine`]). A commit costs what
-//!   its batch touched: the snapshot a publish replaces is kept (retired)
-//!   and, once no reader holds it, brought up to date from the undo logs'
-//!   keys and published next (see `publish`). Every read goes through a
-//!   [`ReadHandle`]: it clones the published `Arc`s out of their slots and
+//!   its batch touched: the snapshot a publish replaces becomes the
+//!   worker's table and, unless a reader still holds it, is brought up to
+//!   date from the undo log's keys (see `publish`). Every read goes through
+//!   a [`ReadHandle`]: it clones the published `Arc`s out of their slots and
 //!   never touches worker state, so reads and ingest never wait on each other.
 //! * **Slim views cut on demand.** [`ReadHandle::query_view`] cuts the
 //!   [`EngineView`] — the read half of the read/write split — from those
@@ -145,9 +146,10 @@ struct Shared {
     poisoned: AtomicBool,
 }
 
-/// What a shard worker runs: a closure over the shard it owns and the
+/// What a shard worker runs: a closure over the table it owns and the
 /// worker's own publish step (see [`Workers::ask`], which builds them all).
-type ShardOp = Box<dyn FnOnce(&mut SketchEngine, &mut dyn FnMut(&SketchEngine, Changed)) + Send>;
+type ShardOp =
+    Box<dyn FnOnce(&mut Arc<SketchEngine>, &dyn Fn(&mut Arc<SketchEngine>, Changed)) + Send>;
 
 /// What a shard op changed of what readers see, for its worker to [`publish`]
 /// before it answers: nothing (ingest under an open undo log, a rollback, a
@@ -790,57 +792,51 @@ impl Drop for ConcurrentEngine {
     }
 }
 
-/// Publishes one shard's state as an immutable snapshot, at the cost of
-/// what `changed`. `retired` is the snapshot the last publish replaced —
-/// kept, not freed — and the batch it is behind its successor by. A batch
-/// commit reuses it if the worker holds its last reference (so no reader
-/// sees it, or can: it left its slot a publish ago), taking `shard`'s
-/// pointers for the keys of the two batches it is now behind by: O(touched).
-/// Otherwise — nothing retired, a reader still on it, [`Changed::All`] — it
-/// copies the table, O(groups), and counts that in `snapshots_copied`.
-fn publish(
-    shared: &Shared,
-    shard_id: usize,
-    shard: &SketchEngine,
-    retired: &mut Option<(Arc<SketchEngine>, Touched)>,
-    changed: Changed,
-) {
+/// Publishes the worker's table, `live`, as an immutable snapshot at the
+/// cost of what `changed`: `live` goes into the slot as it is, and the
+/// snapshot it replaces becomes the worker's next table. After a batch
+/// commit that snapshot is exactly one batch behind, so if the worker holds
+/// its last reference (no reader is on it, and none can get to it: it has
+/// left its slot) it takes `live`'s pointers for the batch's keys:
+/// O(touched). Otherwise — a reader still on it, or [`Changed::All`] — the
+/// worker copies `live`'s table, O(groups), and counts that in
+/// `snapshots_copied`.
+fn publish(shared: &Shared, shard_id: usize, live: &mut Arc<SketchEngine>, changed: Changed) {
     let touched = match changed {
         Changed::No => return,
         Changed::Keys(touched) => Some(touched),
         Changed::All => None,
     };
-    let reused = retired
-        .take()
-        .zip(touched.as_ref())
-        .and_then(|((mut snap, behind), touched)| {
-            Arc::get_mut(&mut snap)?.catch_up(shard, [&behind, touched]);
-            Some(snap)
-        });
-    let copied = u64::from(reused.is_none());
-    shared.snapshots_copied.fetch_add(copied, Ordering::Relaxed);
-    let snap = reused.unwrap_or_else(|| Arc::new(shard.clone()));
     // The write guard lives for this one statement, the swap: frees come after.
-    let previous = std::mem::replace(&mut *shared.published[shard_id].write(), snap);
+    let mut next = std::mem::replace(&mut *shared.published[shard_id].write(), Arc::clone(live));
     shared.epochs[shard_id].fetch_add(1, Ordering::Release);
     shared.snapshots_published.fetch_add(1, Ordering::Relaxed);
-    *retired = touched.map(|touched| (previous, touched));
+    match (touched, Arc::get_mut(&mut next)) {
+        (Some(touched), Some(snap)) => snap.catch_up(live, &touched),
+        _ => {
+            shared.snapshots_copied.fetch_add(1, Ordering::Relaxed);
+            next = Arc::new(SketchEngine::clone(live));
+        }
+    }
+    *live = next;
 }
 
-/// One long-lived shard worker: owns its [`SketchEngine`] for the
-/// engine's lifetime and runs the ops it is sent on it, in order. It ends
-/// when the engine's drop drops its sender; a panic inside an op unwinds
-/// into the worker's supervisor, which poisons the engine.
+/// One long-lived shard worker: owns its table for the engine's lifetime —
+/// the one batches are ingested into, which is also the next snapshot it
+/// publishes — and runs the ops it is sent on it, in order. Nothing else ever holds `live`
+/// while an op runs, so `Arc::make_mut` in [`Workers::ask`] never copies. It
+/// ends when the engine's drop drops its sender; a panic inside an op
+/// unwinds into the worker's supervisor, which poisons the engine.
 fn worker_main(
-    mut shard: SketchEngine,
+    shard: SketchEngine,
     shard_id: usize,
     shared: &Shared,
     ops: &channel::Receiver<ShardOp>,
 ) {
-    let mut retired = None;
-    let mut publish = |s: &SketchEngine, c| publish(shared, shard_id, s, &mut retired, c);
+    let mut live = Arc::new(shard);
+    let publish = |live: &mut Arc<SketchEngine>, c| publish(shared, shard_id, live, c);
     while let Ok(op) = ops.recv() {
-        op(&mut shard, &mut publish);
+        op(&mut live, &publish);
     }
 }
 
@@ -866,9 +862,9 @@ impl Workers {
         f: impl FnOnce(&mut SketchEngine) -> (T, Changed) + Send + 'static,
     ) -> channel::Receiver<T> {
         let (reply_tx, reply_rx) = channel::bounded(1);
-        let op: ShardOp = Box::new(move |shard, publish| {
-            let (reply, changed) = f(shard);
-            publish(shard, changed);
+        let op: ShardOp = Box::new(move |live, publish| {
+            let (reply, changed) = f(Arc::make_mut(live));
+            publish(live, changed);
             let _ = reply_tx.send(reply);
         });
         // A failed send is a dead worker; dropping the op disconnects the
@@ -1901,9 +1897,9 @@ mod tests {
         assert_eq!(final_rows, 20 * 4 * per_batch);
     }
 
-    // ---- O(touched) publish: a commit brings the retired snapshot up to
-    // date; everything else copies the table, counted by
-    // `snapshots_copied_total`. ----
+    // ---- O(touched) publish: a commit brings the snapshot it replaces up
+    // to date as the worker's next table; everything else copies the table,
+    // counted by `snapshots_copied_total`. ----
 
     fn copied(conc: &ConcurrentEngine) -> u64 {
         conc.metrics().counters[names::SNAPSHOTS_COPIED]
@@ -2028,41 +2024,62 @@ mod tests {
     }
 
     #[test]
-    fn a_commit_copies_the_table_only_when_a_reader_holds_the_retired_snapshot() {
+    fn a_fresh_engine_publishes_without_copying() {
+        // The epoch-0 snapshot is the first commit's next table, for a new
+        // engine and a restored one alike; no reader, no copy.
+        let conc = ConcurrentEngine::new(spec(), 3).unwrap();
+        let mut twin = ShardedEngine::new(spec(), 3).unwrap();
+        for i in 0..5 {
+            commit(&conc, &mut twin, rows_over(24, i, 4));
+        }
+        assert_eq!(copied(&conc), 0);
+        assert_eq!(conc.metrics().counters[names::SNAPSHOTS_PUBLISHED], 15);
+        assert_published_equals(&conc, &twin, "after five commits");
+
+        let bytes = conc.to_snapshot_bytes();
+        let restored = ConcurrentEngine::from_snapshot_bytes(&bytes).unwrap();
+        let mut twin = ShardedEngine::from_snapshot_bytes(&bytes).unwrap();
+        for i in 0..3 {
+            commit(&restored, &mut twin, rows_over(24, i, 4));
+        }
+        assert_eq!(copied(&restored), 0);
+        assert_published_equals(&restored, &twin, "after a restore");
+    }
+
+    #[test]
+    fn a_commit_copies_the_table_only_when_a_reader_holds_the_replaced_snapshot() {
         let conc = ConcurrentEngine::new(spec(), 2).unwrap();
         let mut twin = ShardedEngine::new(spec(), 2).unwrap();
-        // No reader holds anything: the first commit on each shard has no
-        // retired snapshot to reuse; no later one copies.
+        // No reader holds anything: every commit reuses the snapshot it
+        // replaces, the first one epoch 0's.
         for i in 0..6 {
             commit(&conc, &mut twin, rows_over(24, i, 4));
         }
-        assert_eq!(copied(&conc), 2);
+        assert_eq!(copied(&conc), 0);
         assert_eq!(conc.metrics().counters[names::SNAPSHOTS_PUBLISHED], 12);
 
-        // Holding the *published* snapshot costs nothing until it has been
-        // retired and comes up for reuse: one commit retires it, the next
-        // finds the reader on it and copies — on that shard only.
+        // Holding the *published* snapshot costs one copy, at the commit
+        // that replaces it — on that shard only.
         let held = conc.reads.published_shard(0);
         let held_bytes = held.to_snapshot_bytes();
         commit(&conc, &mut twin, rows_over(24, 2, 4));
-        assert_eq!(copied(&conc), 2);
+        assert_eq!(copied(&conc), 1);
         commit(&conc, &mut twin, rows_over(24, 3, 4));
-        assert_eq!(copied(&conc), 3);
+        assert_eq!(copied(&conc), 1);
         assert_eq!(held.to_snapshot_bytes(), held_bytes);
         // The copy restarts the cycle: nothing further is owed.
         drop(held);
         commit(&conc, &mut twin, rows_over(24, 0, 4));
         commit(&conc, &mut twin, rows_over(24, 1, 4));
-        assert_eq!(copied(&conc), 3);
+        assert_eq!(copied(&conc), 1);
         assert_eq!(conc.metrics().counters[names::SNAPSHOTS_PUBLISHED], 20);
         assert_published_equals(&conc, &twin, "after the held snapshot");
     }
 
     #[test]
-    fn a_rolled_back_batch_leaves_the_retired_snapshot_one_batch_behind() {
+    fn a_rolled_back_batch_publishes_nothing_and_the_next_commit_reuses() {
         let conc = ConcurrentEngine::new(spec(), 2).unwrap();
         let mut twin = ShardedEngine::new(spec(), 2).unwrap();
-        // Two commits: a retired snapshot exists and is behind by the second.
         for batch in [rows_over(36, 0, 6), rows_over(12, 0, 3)] {
             commit(&conc, &mut twin, batch);
         }
@@ -2074,7 +2091,7 @@ mod tests {
 
         // A batch that writes every group, creates groups 6..9 and then
         // fails: nothing is published, and nothing of it may leak into the
-        // next publish through the retired table.
+        // next publish through the worker's table.
         let mut torn = rows_over(27, 0, 9);
         torn.push(row![0u64, 1u64, "not-a-number"]);
         conc.submit_batch(torn.clone()).wait().unwrap_err();
@@ -2086,32 +2103,32 @@ mod tests {
         commit(&conc, &mut twin, rows_over(10, 4, 2));
         assert_eq!(conc.num_groups(), 6);
         assert_published_equals(&conc, &twin, "after the rollback");
-        assert_eq!(copied(&conc), 2, "every publish after the first reused");
+        assert_eq!(copied(&conc), 0, "every publish reused");
     }
 
     #[test]
-    fn new_groups_reach_the_retired_table_and_flushed_groups_stay_gone() {
+    fn new_groups_reach_the_writers_table_and_flushed_groups_stay_gone() {
         let mut conc = ConcurrentEngine::new(spec(), 2).unwrap();
         let mut twin = ShardedEngine::new(spec(), 2).unwrap();
-        // The snapshot the second commit reuses is epoch 0's — retired
-        // before any group existed — and is behind by both batches' groups.
+        // Epoch 0's snapshot, from before any group existed, is the first
+        // commit's next table: the second batch's new groups go into it.
         for batch in [rows_over(9, 0, 3), rows_over(9, 3, 3)] {
             commit(&conc, &mut twin, batch);
         }
-        assert_eq!(copied(&conc), 2);
+        assert_eq!(copied(&conc), 0);
         assert_eq!(conc.num_groups(), 6);
         assert_published_equals(&conc, &twin, "after two commits");
 
         // A flush is not a batch commit: it copies, and discards the
-        // retired table with the groups it still lists.
+        // replaced table with the groups it still lists.
         assert_eq!(conc.flush_window().unwrap(), twin.flush_window().unwrap());
-        assert_eq!(copied(&conc), 4);
+        assert_eq!(copied(&conc), 2);
         for _ in 0..3 {
             commit(&conc, &mut twin, rows_over(8, 0, 2));
             assert_eq!(conc.groups(), vec![row![0u64], row![1u64]]);
         }
         // One copy per shard to start over, reuse from then on.
-        assert_eq!(copied(&conc), 6);
+        assert_eq!(copied(&conc), 2);
         assert_published_equals(&conc, &twin, "after the flush");
     }
 }

@@ -361,11 +361,12 @@ impl SketchEngine {
         self.checkpoint.take().unwrap_or_default().touched
     }
 
-    /// `clone_from` at O(touched): brings an older clone of `live` up to date
-    /// given the batches `live` committed since (nothing else having changed its
-    /// groups) — its pointer for every key they touched, then all the scalars.
-    pub(crate) fn catch_up(&mut self, live: &Self, behind: [&Touched; 2]) {
-        for key in behind.into_iter().flat_map(HashMap::keys) {
+    /// `clone_from` at O(touched): brings a clone of `live` taken before its
+    /// last committed batch up to date, given what that batch `touched` (nothing
+    /// else having changed its groups) — `live`'s pointer for every key it
+    /// touched, then all the scalars.
+    pub(crate) fn catch_up(&mut self, live: &Self, touched: &Touched) {
+        for key in touched.keys() {
             match (live.groups.get(key), self.groups.get_mut(key)) {
                 (Some(state), Some(stale)) => *stale = Arc::clone(state),
                 (Some(state), None) => drop(self.groups.insert(key.clone(), Arc::clone(state))),

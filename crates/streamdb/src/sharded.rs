@@ -84,8 +84,9 @@ impl ShardedEngine {
         Self { shards, router }
     }
 
-    /// Ingests a batch of rows, driving every shard from its own worker
-    /// thread. Rows of the same group are applied in batch order.
+    /// Ingests a batch of rows, driving shard 0 on the calling thread and
+    /// every other shard from its own worker thread. Rows of the same group
+    /// are applied in batch order.
     ///
     /// Transactional at batch granularity: on any failure — a rejected row
     /// under [`FaultPolicy::FailBatch`], an injected fault, or a worker
@@ -102,31 +103,24 @@ impl ShardedEngine {
     /// shard) is reported. The engine is unchanged.
     pub fn process_batch(&mut self, rows: &[Row]) -> Result<BatchSummary, BatchError> {
         self.router.prevalidate(rows)?;
-        let num = self.shards.len();
-        if num == 1 {
-            // One shard is exactly the sequential engine; skip the
-            // partition/thread machinery (the engine supervises its own
-            // rollback).
-            return self.shards[0].process_batch(rows).map_err(|mut e| {
-                e.shard = Some(0);
-                e
-            });
-        }
         let start = self.router.metrics.start_batch();
-        let Partition { lists, quarantine } = self.router.partition(rows, num);
+        let Partition { lists, quarantine } = self.router.partition(rows, self.shards.len());
         let shards = &mut self.shards;
         let scope_result = cb_thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter_mut()
-                .zip(&lists)
+            // Shard 0 runs on the calling thread, every other shard on its
+            // own: one shard spawns nothing.
+            let mut work = shards.iter_mut().zip(&lists);
+            let first = work.next();
+            let handles: Vec<_> = work
                 .map(|(shard, indices)| scope.spawn(move |_| worker_ingest(shard, rows, indices)))
                 .collect();
-            handles
+            first
+                .map(|(shard, indices)| worker_ingest(shard, rows, indices))
                 .into_iter()
-                .map(|h| {
+                .chain(handles.into_iter().map(|h| {
                     h.join()
                         .unwrap_or_else(|p| WorkerOutcome::lost(panic_message(p.as_ref())))
-                })
+                }))
                 .collect::<Vec<WorkerOutcome>>()
         });
         let result = match scope_result {
@@ -636,6 +630,32 @@ mod tests {
         // Dead letters are window state.
         sharded.flush_window().unwrap();
         assert!(sharded.dead_letters().is_empty());
+    }
+
+    #[test]
+    fn one_shard_quarantines_short_rows_like_every_shard_count() {
+        let outcome = |num_shards| {
+            let mut sharded = ShardedEngine::new(spec(), num_shards).unwrap();
+            sharded.set_fault_policy(FaultPolicy::Quarantine { max_samples: 8 });
+            let mut batch = rows(40, 5);
+            batch.insert(3, row![7u64]); // short: the router quarantines it
+            batch.insert(20, row![0u64, 1u64, "bad"]); // its shard quarantines it
+            let summary = sharded.process_batch(&batch).unwrap();
+            let router = sharded.router_dead().samples().to_vec();
+            let totals = [
+                crate::metrics::names::BATCHES_COMMITTED,
+                crate::metrics::names::ROWS_INGESTED,
+                crate::metrics::names::ROWS_QUARANTINED,
+            ]
+            .map(|name| sharded.metrics().counters[name]);
+            (summary, router, totals)
+        };
+        let (summary, router, totals) = outcome(1);
+        assert_eq!((summary.rows_ingested, summary.rows_quarantined), (40, 2));
+        assert_eq!(router.len(), 1);
+        assert_eq!((router[0].row_index, router[0].shard), (3, None));
+        assert_eq!(totals, [1, 40, 2]);
+        assert_eq!(outcome(2), (summary, router, totals));
     }
 
     #[test]
