@@ -1,8 +1,10 @@
 //! Merge throughput — the operation the distributed ("mergeable
 //! summaries") deployments live on.
 
-// Fail-fast harness: setup errors are bugs in the benchmark itself.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    reason = "fail-fast harness: setup errors are bugs in the benchmark itself"
+)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sketches::core::{MergeSketch, Update};

@@ -1,7 +1,9 @@
 //! Update and query throughput for the quantile summaries.
 
-// Fail-fast harness: setup errors are bugs in the benchmark itself.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    reason = "fail-fast harness: setup errors are bugs in the benchmark itself"
+)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sketches::core::{QuantileSketch, Update};

@@ -1,8 +1,10 @@
 //! GROUP BY ingest throughput: sequential engine (row-at-a-time vs batch)
 //! and the sharded engine across shard counts.
 
-// Fail-fast harness: setup errors are bugs in the benchmark itself.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    reason = "fail-fast harness: setup errors are bugs in the benchmark itself"
+)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sketches::streamdb::{Aggregate, QuerySpec, Row, ShardedEngine, SketchEngine, Value};

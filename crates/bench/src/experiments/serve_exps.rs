@@ -114,7 +114,10 @@ fn ingest_once(
 }
 
 /// E26: overload + fault + kill drill against the HTTP front door.
-#[allow(clippy::too_many_lines)]
+#[allow(
+    clippy::too_many_lines,
+    reason = "one experiment, one table: the steps read top to bottom"
+)]
 pub fn e26() {
     header(
         "E26",
@@ -371,7 +374,10 @@ fn e28_spec() -> QuerySpec {
 
 /// E28: request-scoped tracing — overhead at default sampling plus span
 /// accounting on every trace the debug endpoint serves.
-#[allow(clippy::too_many_lines)]
+#[allow(
+    clippy::too_many_lines,
+    reason = "one experiment, one table: the steps read top to bottom"
+)]
 pub fn e28() {
     header(
         "E28",

@@ -56,7 +56,10 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, Vec<u8>, usize) {
 /// E27: at equal query-side bytes the slim half of an SF-sketch beats a
 /// plain Count-Min, and the read/write split ships measurably fewer
 /// bytes per epoch publish and per served response than fat baselines.
-#[allow(clippy::too_many_lines)]
+#[allow(
+    clippy::too_many_lines,
+    reason = "one experiment, one table: the steps read top to bottom"
+)]
 pub fn e27() {
     header(
         "E27",

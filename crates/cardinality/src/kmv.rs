@@ -49,7 +49,10 @@ impl KmvSketch {
         if self.mins.len() < self.k {
             self.mins.insert(h);
         } else {
-            // lint: panic-ok(len >= k >= 1 on this branch, so the set is non-empty)
+            #[expect(
+                clippy::expect_used,
+                reason = "len >= k >= 1 on this branch, so the set is non-empty"
+            )]
             let current_max = *self.mins.iter().next_back().expect("non-empty");
             if h < current_max && self.mins.insert(h) {
                 self.mins.remove(&current_max);
@@ -70,7 +73,10 @@ impl KmvSketch {
         if self.mins.len() < self.k {
             1.0
         } else {
-            // lint: panic-ok(len >= k >= 1 on this branch, so the set is non-empty)
+            #[expect(
+                clippy::expect_used,
+                reason = "len >= k >= 1 on this branch, so the set is non-empty"
+            )]
             let kth = *self.mins.iter().next_back().expect("non-empty");
             normalize(kth)
         }
@@ -114,7 +120,10 @@ impl CardinalityEstimator for KmvSketch {
             // Below k distinct values the sample is exhaustive: exact count.
             self.mins.len() as f64
         } else {
-            // lint: panic-ok(len >= k >= 1 on this branch, so the set is non-empty)
+            #[expect(
+                clippy::expect_used,
+                reason = "len >= k >= 1 on this branch, so the set is non-empty"
+            )]
             let kth = *self.mins.iter().next_back().expect("non-empty");
             (self.k as f64 - 1.0) / normalize(kth)
         }
@@ -145,7 +154,10 @@ impl MergeSketch for KmvSketch {
             self.mins.insert(h);
         }
         while self.mins.len() > self.k {
-            // lint: panic-ok(loop condition len > k >= 1 guarantees the set is non-empty)
+            #[expect(
+                clippy::expect_used,
+                reason = "loop condition len > k >= 1 guarantees the set is non-empty"
+            )]
             let max = *self.mins.iter().next_back().expect("non-empty");
             self.mins.remove(&max);
         }

@@ -122,7 +122,10 @@ impl<S: MergeSketch + Clear> WriterHandle<S> {
         self.local.update(item);
         self.pending += 1;
         if self.pending >= self.buffer_size {
-            // lint: panic-ok(local and global are clones of one template, so merge parameters always match)
+            #[expect(
+                clippy::expect_used,
+                reason = "local and global are clones of one template, so merge parameters always match"
+            )]
             self.flush().expect("template-derived locals always merge");
         }
     }

@@ -82,7 +82,10 @@ impl<T: Hash + Eq + Clone> SpaceSaving<T> {
         } else {
             // Evict the minimum counter; the newcomer inherits its count as
             // overestimation error.
-            // lint: panic-ok(this branch runs only when all k >= 2 slots are occupied)
+            #[expect(
+                clippy::expect_used,
+                reason = "this branch runs only when all k >= 2 slots are occupied"
+            )]
             let &(min_count, slot) = self.by_count.iter().next().expect("k >= 2 slots");
             self.by_count.remove(&(min_count, slot));
             let evicted = std::mem::replace(

@@ -146,7 +146,10 @@ impl AgmGraphSketch {
                         agg.insert(root, round[v].clone());
                     }
                     Some(s) => {
-                        // lint: panic-ok(all per-vertex samplers are built in new() from the same seed, so merge cannot fail)
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "all per-vertex samplers are built in new() from the same seed, so merge cannot fail"
+                        )]
                         s.merge(&round[v]).expect("same seed by construction");
                     }
                 }

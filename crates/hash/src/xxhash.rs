@@ -29,14 +29,20 @@ fn merge_round(acc: u64, val: u64) -> u64 {
 }
 
 #[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "callers slice exactly 8 bytes; the index above would already bound-check"
+)]
 fn read_u64(data: &[u8], offset: usize) -> u64 {
-    // lint: panic-ok(callers slice exactly 8 bytes; the index above would already bound-check)
     u64::from_le_bytes(data[offset..offset + 8].try_into().expect("8 bytes"))
 }
 
 #[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "callers slice exactly 4 bytes; the index above would already bound-check"
+)]
 fn read_u32(data: &[u8], offset: usize) -> u32 {
-    // lint: panic-ok(callers slice exactly 4 bytes; the index above would already bound-check)
     u32::from_le_bytes(data[offset..offset + 4].try_into().expect("4 bytes"))
 }
 

@@ -78,7 +78,10 @@ impl FrequentDirections {
                 g[(j, i)] = v;
             }
         }
-        // lint: panic-ok(g is built l x l symmetric just above, the only failure symmetric_eigen checks)
+        #[expect(
+            clippy::expect_used,
+            reason = "g is built l x l symmetric just above, the only failure symmetric_eigen checks"
+        )]
         let (eigvals, u) = g.symmetric_eigen().expect("square by construction");
         // Singular values: σᵢ = √λᵢ; shrink by λ_ℓ (0-indexed l-1 .. use the
         // ℓ-th largest, i.e. index l-1, per the FD guarantee).

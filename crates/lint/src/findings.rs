@@ -3,18 +3,18 @@
 use std::fmt;
 use std::path::PathBuf;
 
-/// The eight lint classes (`L5` is retired: rustc's `missing_docs` does
-/// its job). See `DESIGN.md` §7 for the full policy.
+/// The seven lint classes. Retired ids are never reused: `L5` is rustc's
+/// `missing_docs`, `L4` is clippy's `disallowed_methods`/`disallowed_types`
+/// (configured in `crates/clippy.toml`). See `DESIGN.md` §7 for the full policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// Unordered `HashMap`/`HashSet` iteration on a report path.
     L1SortedIteration,
-    /// `unwrap()`/`expect()`/`panic!` in library non-test code.
+    /// Undeclared `catch_unwind` boundary in library non-test code (the
+    /// `unwrap`/`expect`/`panic!` half is clippy's).
     L2PanicFree,
     /// Crate root missing `#![forbid(unsafe_code)]`.
     L3ForbidUnsafe,
-    /// Ambient randomness or wall-clock time in a sketch crate.
-    L4SeededOnly,
     /// Blocking operation or user-closure call while a lock guard is live.
     L6GuardHygiene,
     /// Lock-acquisition cycle across the workspace (potential deadlock).
@@ -34,7 +34,6 @@ impl Rule {
             Self::L1SortedIteration => "L1",
             Self::L2PanicFree => "L2",
             Self::L3ForbidUnsafe => "L3",
-            Self::L4SeededOnly => "L4",
             Self::L6GuardHygiene => "L6",
             Self::L7LockOrder => "L7",
             Self::L8ChannelDiscipline => "L8",
@@ -47,9 +46,8 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Self::L1SortedIteration => "sorted-iteration",
-            Self::L2PanicFree => "panic-free",
+            Self::L2PanicFree => "panic-boundary",
             Self::L3ForbidUnsafe => "forbid-unsafe",
-            Self::L4SeededOnly => "seeded-only",
             Self::L6GuardHygiene => "guard-hygiene",
             Self::L7LockOrder => "lock-ordering",
             Self::L8ChannelDiscipline => "channel-discipline",
@@ -62,9 +60,8 @@ impl Rule {
     pub fn escape_tag(self) -> Option<&'static str> {
         match self {
             Self::L1SortedIteration => Some("sorted-iteration-ok"),
-            Self::L2PanicFree => Some("panic-ok"),
+            Self::L2PanicFree => Some("panic-boundary"),
             Self::L3ForbidUnsafe => Some("unsafe-audited"),
-            Self::L4SeededOnly => Some("nondeterminism-ok"),
             Self::L6GuardHygiene => Some("guard-scope"),
             Self::L7LockOrder => Some("lock-order-ok"),
             Self::L8ChannelDiscipline => Some("channel-ok"),
@@ -81,17 +78,12 @@ impl Rule {
                  (use BTreeMap or collect-and-sort; escape: `// lint: sorted-iteration-ok(reason)`)"
             }
             Self::L2PanicFree => {
-                "no unwrap()/expect()/panic! in library non-test code \
-                 (return SketchResult or justify: `// lint: panic-ok(reason)`)"
+                "every catch_unwind in library non-test code declares its recovery contract \
+                 (`// lint: panic-boundary(reason)`); unwrap/expect/panic! are clippy's"
             }
             Self::L3ForbidUnsafe => {
                 "every crate root carries #![forbid(unsafe_code)] \
                  (audited exception: #![deny(unsafe_code)] + `// lint: unsafe-audited(reason)`)"
-            }
-            Self::L4SeededOnly => {
-                "no Instant::now/SystemTime/thread_rng/RandomState::new in sketch crates — \
-                 randomness and time flow through explicit seeds (sketches-hash); \
-                 escape: `// lint: nondeterminism-ok(reason)`"
             }
             Self::L6GuardHygiene => {
                 "no blocking operation (send/recv/wait/join/fsync/sync_all) and no \
@@ -117,11 +109,10 @@ impl Rule {
     }
 
     /// All rules, in order.
-    pub const ALL: [Rule; 8] = [
+    pub const ALL: [Rule; 7] = [
         Self::L1SortedIteration,
         Self::L2PanicFree,
         Self::L3ForbidUnsafe,
-        Self::L4SeededOnly,
         Self::L6GuardHygiene,
         Self::L7LockOrder,
         Self::L8ChannelDiscipline,

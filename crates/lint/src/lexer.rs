@@ -401,9 +401,9 @@ mod tests {
 
     #[test]
     fn escape_hatch_requires_reason() {
-        let lexed = lex("// lint: panic-ok(index bounded by depth)\nx.unwrap();\n// lint: panic-ok()\ny.unwrap();");
-        assert!(lexed.has_escape(2, "panic-ok", 2));
-        assert!(!lexed.has_escape(4, "panic-ok", 1));
+        let lexed = lex("// lint: drop-ok(flush is infallible here)\nx.flush();\n// lint: drop-ok()\ny.flush();");
+        assert!(lexed.has_escape(2, "drop-ok", 2));
+        assert!(!lexed.has_escape(4, "drop-ok", 1));
     }
 
     #[test]

@@ -2,18 +2,19 @@
 //!
 //! A lightweight, dependency-free source scanner (hand-rolled lexer, no
 //! `syn`/`proc-macro2`, consistent with the offline-shim constraint in
-//! ROADMAP.md) enforcing eight invariant classes over the library crates:
+//! ROADMAP.md) enforcing seven invariant classes over the library crates:
 //!
 //! * **L1 sorted-iteration** — no unordered `HashMap`/`HashSet` iteration
 //!   in `merge`/`report`/`serialize`/`Hash`/`Eq` paths (the seed's
 //!   `SpaceSaving::merge` bug class).
-//! * **L2 panic-free** — no `unwrap()`/`expect()`/`panic!` in library
-//!   non-test code without a documented invariant.
+//! * **L2 panic-boundary** — every `catch_unwind` declares its recovery
+//!   contract. (`unwrap()`/`expect()`/`panic!` are clippy's `unwrap_used`,
+//!   `expect_used` and `panic`.)
 //! * **L3 forbid-unsafe** — `#![forbid(unsafe_code)]` in every crate root.
-//! * **L4 seeded-only** — no ambient randomness or wall-clock time in
-//!   sketch crates; everything flows through explicit seeds.
-//! * *(L5 missing-docs is retired — the workspace builds with rustc's
-//!   `missing_docs` at `-D warnings`; the id is not reused.)*
+//! * *(L4 seeded-only is retired — clippy's `disallowed_methods` and
+//!   `disallowed_types` ban ambient time and entropy, see `crates/clippy.toml`;
+//!   L5 missing-docs is retired — rustc's `missing_docs` at
+//!   `-D warnings`. Neither id is reused.)*
 //! * **L6 guard-hygiene** — no blocking operation or user-closure call
 //!   while a lock guard is live in scope (the PR 6 deadlock class).
 //! * **L7 lock-ordering** — no cycles in the workspace lock-acquisition
@@ -68,7 +69,7 @@ pub fn check_source(path: &Path, src: &str, kind: CrateKind, is_crate_root: bool
 
 /// Lints every crate under `<root>/crates/`.
 ///
-/// Per-file rules (L1–L6, L8, L9) run on each file's context; the L7
+/// Per-file rules (L1–L3, L6, L8, L9) run on each file's context; the L7
 /// lock-ordering pass then runs once over *all* contexts, since its
 /// acquisition graph spans the workspace.
 ///

@@ -12,7 +12,7 @@ sketches-lint — determinism & concurrency-safety analyzer for the sketches wor
 
 USAGE:
     sketches-lint check [--json|--github] [--root <dir>]   lint the workspace (exit 1 on findings)
-    sketches-lint rules                                    print the eight rule classes
+    sketches-lint rules                                    print the seven rule classes
 
 OUTPUT:
     (default)   human-readable findings, one per line

@@ -1,16 +1,14 @@
-//! L2 — no `unwrap()` / `expect()` / `panic!` in library non-test code.
+//! L2 — every `catch_unwind` in library non-test code declares its
+//! recovery contract.
 //!
-//! Sketch state arrives from configuration and remote data, so invalid
-//! input must surface as `SketchResult`, not a process abort. A panic that
-//! encodes a *structural invariant* (not an input condition) may stay, but
-//! it must say so: an `expect` with an invariant message plus a
-//! `// lint: panic-ok(reason)` comment. Tests and benches panic freely.
-//!
-//! `catch_unwind` sites are policed too: a containment boundary changes
-//! what a panic means for every callee beneath it (the process no longer
-//! aborts, so state left behind by an unwound frame becomes observable),
-//! so each one must declare its recovery contract with a
-//! `// lint: panic-boundary(reason)` comment.
+//! The other half of the panic-freedom contract — no `unwrap()` /
+//! `expect()` / `panic!` on input — is clippy's (`unwrap_used`,
+//! `expect_used`, `panic` in the root `Cargo.toml`). What no clippy lint
+//! checks is a containment boundary: it changes what a panic means for
+//! every callee beneath it (the process no longer aborts, so state left
+//! behind by an unwound frame becomes observable), so each one must
+//! declare its recovery contract with a `// lint: panic-boundary(reason)`
+//! comment.
 
 use crate::findings::{Finding, Rule};
 use crate::rules::FileContext;
@@ -30,50 +28,17 @@ pub fn check(ctx: &FileContext<'_>) -> Vec<Finding> {
         let t = &tokens[i];
         let boundary =
             t.is_ident("catch_unwind") && i + 1 < tokens.len() && tokens[i + 1].is_punct('(');
-        let flagged = boundary
-            || if t.is_ident("unwrap") || t.is_ident("expect") {
-                i > 0
-                    && tokens[i - 1].is_punct('.')
-                    && i + 1 < tokens.len()
-                    && tokens[i + 1].is_punct('(')
-            } else if t.is_ident("panic") {
-                i + 1 < tokens.len() && tokens[i + 1].is_punct('!')
-            } else {
-                false
-            };
-        if !flagged {
+        if !boundary || ctx.lexed.has_escape(t.line, "panic-boundary", LOOKBACK) {
             continue;
         }
-        let tag = if boundary {
-            "panic-boundary"
-        } else {
-            "panic-ok"
-        };
-        if ctx.lexed.has_escape(t.line, tag, LOOKBACK) {
-            continue;
-        }
-        let message = if boundary {
-            "`catch_unwind` in library non-test code; a containment boundary makes \
-             unwound state observable, so declare its recovery contract with \
-             `// lint: panic-boundary(reason)`"
-                .to_string()
-        } else {
-            format!(
-                "`{}` in library non-test code; return SketchResult for input-dependent \
-                 conditions, or document the structural invariant with \
-                 `// lint: panic-ok(reason)`",
-                if t.is_ident("panic") {
-                    "panic!".to_string()
-                } else {
-                    format!(".{}()", t.text)
-                }
-            )
-        };
         out.push(Finding {
             rule: Rule::L2PanicFree,
             file: ctx.path.to_path_buf(),
             line: t.line,
-            message,
+            message: "`catch_unwind` in library non-test code; a containment boundary makes \
+                      unwound state observable, so declare its recovery contract with \
+                      `// lint: panic-boundary(reason)`"
+                .to_string(),
         });
     }
     out
@@ -96,29 +61,8 @@ mod tests {
     }
 
     #[test]
-    fn flags_all_three_forms() {
-        let f = run("fn f() { a.unwrap(); b.expect(\"m\"); panic!(\"boom\"); }");
-        assert_eq!(f.len(), 3);
-    }
-
-    #[test]
     fn test_code_is_exempt() {
-        let f = run("#[cfg(test)]\nmod tests { fn t() { a.unwrap(); panic!(); } }");
-        assert!(f.is_empty());
-    }
-
-    #[test]
-    fn escape_hatch_suppresses() {
-        let f = run(
-            "fn f() {\n// lint: panic-ok(slot index bounded by construction)\n\
-             let x = slots.get(i).expect(\"slot in range\");\n}",
-        );
-        assert!(f.is_empty());
-    }
-
-    #[test]
-    fn unwrap_or_is_not_unwrap() {
-        let f = run("fn f() { a.unwrap_or(0); a.unwrap_or_default(); }");
+        let f = run("#[cfg(test)]\nmod tests { fn t() { let r = catch_unwind(|| work()); } }");
         assert!(f.is_empty());
     }
 
@@ -136,14 +80,6 @@ mod tests {
              let r = catch_unwind(|| work());\n}",
         );
         assert!(f.is_empty());
-    }
-
-    #[test]
-    fn panic_ok_does_not_cover_catch_unwind() {
-        // The two tags are distinct contracts; one must not satisfy the other.
-        let f = run("fn f() {\n// lint: panic-ok(wrong tag for a boundary)\n\
-             let r = catch_unwind(|| work());\n}");
-        assert_eq!(f.len(), 1);
     }
 
     #[test]

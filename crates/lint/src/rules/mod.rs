@@ -10,7 +10,6 @@
 mod l1_sorted_iteration;
 mod l2_panic_free;
 mod l3_forbid_unsafe;
-mod l4_seeded_only;
 mod l6_guard_hygiene;
 pub(crate) mod l7_lock_order;
 mod l8_channel_discipline;
@@ -110,7 +109,6 @@ pub fn run_all(ctx: &FileContext<'_>) -> Vec<Finding> {
             out.extend(l1_sorted_iteration::check(ctx));
             out.extend(l2_panic_free::check(ctx));
             out.extend(l3_forbid_unsafe::check(ctx));
-            out.extend(l4_seeded_only::check(ctx));
             out.extend(l6_guard_hygiene::check(ctx));
             out.extend(l8_channel_discipline::check(ctx));
             out.extend(l9_drop_safety::check(ctx));

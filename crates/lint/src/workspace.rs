@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 /// How a crate is policed. See [`crate::rules`] for the kind → rule map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrateKind {
-    /// A published sketch library: all five rules apply.
+    /// A published sketch library: every rule applies.
     Library,
     /// The experiment/benchmark harness: timing and unwraps are its job;
     /// only the unsafe-code rule applies.

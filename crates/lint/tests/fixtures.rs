@@ -2,6 +2,8 @@
 //! and stays quiet on the suppressed twin. The fixtures under `fixtures/`
 //! are the canonical examples referenced by DESIGN.md §7.
 
+#![allow(clippy::panic, reason = "a missing fixture is the test failing")]
+
 use std::path::Path;
 
 use sketches_lint::{check_source, CrateKind, Finding, Rule};
@@ -42,16 +44,6 @@ fn l1_sorted_iteration_pair() {
         Rule::L1SortedIteration,
         "l1_violation.rs",
         "l1_suppressed.rs",
-        false,
-    );
-}
-
-#[test]
-fn l2_panic_free_pair() {
-    assert_pair(
-        Rule::L2PanicFree,
-        "l2_violation.rs",
-        "l2_suppressed.rs",
         false,
     );
 }
@@ -99,29 +91,6 @@ fn l3_forbid_unsafe_pair() {
         "l3_violation.rs",
         "l3_suppressed.rs",
         true,
-    );
-}
-
-#[test]
-fn l4_seeded_only_pair() {
-    assert_pair(
-        Rule::L4SeededOnly,
-        "l4_violation.rs",
-        "l4_suppressed.rs",
-        false,
-    );
-}
-
-#[test]
-fn l4_clock_impl_pair() {
-    // The `clock-impl` tag sanctions an ambient time read only inside an
-    // `impl ... Clock for ...` body (the telemetry layer's one blessed
-    // call site); the identical tag anywhere else changes nothing.
-    assert_pair(
-        Rule::L4SeededOnly,
-        "l4_clock_impl_violation.rs",
-        "l4_clock_impl_suppressed.rs",
-        false,
     );
 }
 
@@ -199,10 +168,10 @@ fn l9_drop_safety_pair() {
 
 #[test]
 fn bench_crates_are_exempt_from_sketch_rules() {
-    // The same L4 violation is legal in the bench harness — timing is its job.
+    // The same L1 violation is legal in the bench harness.
     let findings = check_source(
-        Path::new("l4_violation.rs"),
-        &fixture("l4_violation.rs"),
+        Path::new("l1_violation.rs"),
+        &fixture("l1_violation.rs"),
         CrateKind::Bench,
         false,
     );
@@ -211,7 +180,7 @@ fn bench_crates_are_exempt_from_sketch_rules() {
 
 #[test]
 fn json_output_is_well_formed_for_fixture_findings() {
-    let findings = run("l2_violation.rs", false);
+    let findings = run("l2_boundary_violation.rs", false);
     let json = sketches_lint::to_json(&findings);
     assert!(json.contains("\"rule\": \"L2\""));
     assert!(json.contains("\"count\": 1"));

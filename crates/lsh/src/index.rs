@@ -46,7 +46,10 @@ impl MinHashIndex {
 
     /// Builds the signature of a set with the index's parameters.
     pub fn signature_of<T: Hash, I: IntoIterator<Item = T>>(&self, set: I) -> MinHashSignature {
-        // lint: panic-ok(bands and rows were validated positive in new(), so the component count is positive)
+        #[expect(
+            clippy::expect_used,
+            reason = "bands and rows were validated positive in new(), so the component count is positive"
+        )]
         let mut mh = MinHasher::new(self.bands * self.rows, self.seed).expect("validated");
         for item in set {
             mh.update(&item);

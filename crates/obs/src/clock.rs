@@ -1,10 +1,11 @@
 //! Pluggable time sources.
 //!
-//! Lint rule L4 bans ambient time reads in library crates because sketch
-//! behavior must be a pure function of `(input, seed)`. Telemetry still
-//! needs wall time, so the workspace routes every time read through the
-//! [`Clock`] trait: binaries install [`MonotonicClock`] (the single
-//! sanctioned `Instant::now` call site, tagged `lint: clock-impl`), and
+//! Clippy's `disallowed_methods` (see `crates/clippy.toml`) bans ambient time
+//! reads because sketch behavior must be a pure function of
+//! `(input, seed)`. Telemetry still needs wall time, so the workspace
+//! routes every time read through the [`Clock`] trait: binaries install
+//! [`MonotonicClock`] (the single sanctioned `Instant::now` call site,
+//! under an `#[expect(clippy::disallowed_methods)]`), and
 //! tests install [`ManualClock`], which only moves when advanced by hand.
 //! Clock readings feed *metrics only* — never sketch state — so replicas
 //! fed the same stream still produce identical summaries.
@@ -26,9 +27,10 @@ pub trait Clock: std::fmt::Debug + Send + Sync {
 /// Real monotonic time, anchored at the first reading.
 ///
 /// The anchor lives inside the first `now_nanos` call rather than the
-/// constructor so that *every* `Instant::now` in the workspace sits
-/// lexically inside this `Clock` impl — the shape lint rule L4's
-/// `clock-impl` carve-out recognizes.
+/// constructor so that *every* `Instant::now` in library code sits
+/// lexically inside this `Clock` impl, the one place outside test code
+/// that suppresses `clippy::disallowed_methods` (the `sketches-lint`
+/// test `clippy_carries_l2_panic_half_and_l4` pins that).
 #[derive(Debug, Default)]
 pub struct MonotonicClock {
     origin: OnceLock<Instant>,
@@ -44,7 +46,10 @@ impl MonotonicClock {
 
 impl Clock for MonotonicClock {
     fn now_nanos(&self) -> u64 {
-        // lint: clock-impl(the one sanctioned ambient-time read; feeds latency metrics only, never sketch state)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the one sanctioned ambient-time read; feeds latency metrics only, never sketch state"
+        )]
         let now = Instant::now();
         let origin = self.origin.get_or_init(|| now);
         // u64 nanos covers ~584 years of process uptime.

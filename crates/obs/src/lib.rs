@@ -14,7 +14,7 @@
 //!   updates) and [`LatencyHistogram`] (KLL-backed, `&mut` record, `&self`
 //!   query). All are allocation-free on the hot path.
 //! - **Time** — the [`Clock`] trait. Library crates are forbidden from
-//!   ambient time reads (lint rule L4); the *only* sanctioned
+//!   ambient time reads (`clippy::disallowed_methods`); the *only* sanctioned
 //!   `Instant::now` call sites in the workspace are [`Clock`]
 //!   implementations in this crate. Binaries install [`MonotonicClock`];
 //!   tests install [`ManualClock`] and advance it by hand, keeping every

@@ -123,7 +123,10 @@ impl LatencyHistogram {
     /// ([`OBS_KLL_K`], [`OBS_KLL_SEED`]).
     #[must_use]
     pub fn new() -> Self {
-        // lint: panic-ok(OBS_KLL_K is a compile-time constant >= 8, so construction cannot fail)
+        #[expect(
+            clippy::expect_used,
+            reason = "OBS_KLL_K is a compile-time constant >= 8, so construction cannot fail"
+        )]
         let kll = KllSketch::new(OBS_KLL_K, OBS_KLL_SEED).expect("OBS_KLL_K is a valid KLL k");
         Self { kll }
     }
@@ -156,7 +159,10 @@ impl LatencyHistogram {
     /// Infallible: every obs histogram is built with the same fixed shape
     /// ([`OBS_KLL_K`], [`OBS_KLL_SEED`]), so the KLL merge cannot reject.
     pub fn merge(&mut self, other: &Self) {
-        // lint: panic-ok(every obs histogram shares one fixed (k, seed), so KLL merge cannot fail)
+        #[expect(
+            clippy::expect_used,
+            reason = "every obs histogram shares one fixed (k, seed), so KLL merge cannot fail"
+        )]
         self.kll
             .merge(&other.kll)
             .expect("obs histograms share one KLL shape");

@@ -259,7 +259,8 @@ impl Trace {
     /// The root span.
     #[must_use]
     pub fn root(&self) -> &TraceSpan {
-        // lint: panic-ok(finish() always places the root span at index 0, and Trace values are only built there)
+        // finish() always places the root span at index 0, and Trace values
+        // are only built there.
         &self.spans[0]
     }
 
@@ -393,7 +394,10 @@ impl TraceContext {
         attrs: Vec<(String, String)>,
     ) {
         let Some(t) = &self.inner else { return };
-        // lint: panic-ok(the trace mutex guards plain Vec pushes and an integer PRNG step; nothing inside can panic and poison it)
+        #[expect(
+            clippy::expect_used,
+            reason = "the trace mutex guards plain Vec pushes and an integer PRNG step; nothing inside can panic and poison it"
+        )]
         let mut st = t.state.lock().expect("trace state lock");
         let span_id = st.ids.span_id();
         st.children.push(TraceSpan {
@@ -452,7 +456,10 @@ impl TraceContext {
     ) -> Option<Trace> {
         let t = self.inner.as_ref()?;
         let children = {
-            // lint: panic-ok(the trace mutex guards plain Vec pushes and an integer PRNG step; nothing inside can panic and poison it)
+            #[expect(
+                clippy::expect_used,
+                reason = "the trace mutex guards plain Vec pushes and an integer PRNG step; nothing inside can panic and poison it"
+            )]
             let mut st = t.state.lock().expect("trace state lock");
             std::mem::take(&mut st.children)
         };
@@ -514,8 +521,11 @@ impl TraceSink {
 
     /// Traces currently retained.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "the ring mutex guards index arithmetic and slot moves only; nothing inside can panic and poison it"
+    )]
     pub fn len(&self) -> usize {
-        // lint: panic-ok(the ring mutex guards index arithmetic and slot moves only; nothing inside can panic and poison it)
         self.ring.lock().expect("trace ring lock").len
     }
 
@@ -527,7 +537,10 @@ impl TraceSink {
 
     /// Retains `trace`, evicting the oldest when full.
     pub fn push(&self, trace: Trace) {
-        // lint: panic-ok(the ring mutex guards index arithmetic and slot moves only; nothing inside can panic and poison it)
+        #[expect(
+            clippy::expect_used,
+            reason = "the ring mutex guards index arithmetic and slot moves only; nothing inside can panic and poison it"
+        )]
         let mut r = self.ring.lock().expect("trace ring lock");
         let next = r.next;
         r.slots[next] = Some(trace);
@@ -538,7 +551,10 @@ impl TraceSink {
     /// Up to `max` retained traces, newest first.
     #[must_use]
     pub fn recent(&self, max: usize) -> Vec<Trace> {
-        // lint: panic-ok(the ring mutex guards index arithmetic and slot moves only; nothing inside can panic and poison it)
+        #[expect(
+            clippy::expect_used,
+            reason = "the ring mutex guards index arithmetic and slot moves only; nothing inside can panic and poison it"
+        )]
         // lint: lock-order-ok(the `push` under this guard is Vec::push on a local buffer, not TraceSink::push; the ring lock is taken exactly once)
         let r = self.ring.lock().expect("trace ring lock");
         let take = max.min(r.len);

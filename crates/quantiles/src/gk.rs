@@ -105,6 +105,10 @@ impl Update<f64> for GreenwaldKhanna {
 }
 
 impl QuantileSketch for GreenwaldKhanna {
+    #[expect(
+        clippy::expect_used,
+        reason = "the n == 0 case returned an error earlier, so tuples is non-empty"
+    )]
     fn quantile(&self, q: f64) -> SketchResult<f64> {
         if self.n == 0 {
             return Err(SketchError::EmptySketch);
@@ -123,7 +127,6 @@ impl QuantileSketch for GreenwaldKhanna {
                 return Ok(self.tuples[idx].v);
             }
         }
-        // lint: panic-ok(the n == 0 case returned an error earlier, so tuples is non-empty)
         Ok(self.tuples.last().expect("n > 0").v)
     }
 

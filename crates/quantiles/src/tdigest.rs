@@ -185,7 +185,10 @@ impl QuantileSketch for TDigest {
             cum += c.weight;
         }
         // Beyond the last midpoint: interpolate toward the true maximum.
-        // lint: panic-ok(the empty-digest case returned an error earlier, so centroids exist)
+        #[expect(
+            clippy::expect_used,
+            reason = "the empty-digest case returned an error earlier, so centroids exist"
+        )]
         let last = cs.last().expect("non-empty");
         let last_mid = total - last.weight / 2.0;
         let frac = ((target - last_mid) / (total - last_mid)).clamp(0.0, 1.0);

@@ -63,7 +63,10 @@ impl<T: Hash + Eq + Clone> Update<T> for DistinctSampler<T> {
         if self.mins.len() < self.k {
             self.mins.entry(h).or_insert_with(|| item.clone());
         } else {
-            // lint: panic-ok(len >= k >= 1 on this branch, so the map is non-empty)
+            #[expect(
+                clippy::expect_used,
+                reason = "len >= k >= 1 on this branch, so the map is non-empty"
+            )]
             let max_kept = *self.mins.keys().next_back().expect("non-empty");
             if h < max_kept {
                 self.mins.entry(h).or_insert_with(|| item.clone());
@@ -99,7 +102,10 @@ impl<T: Hash + Eq + Clone> MergeSketch for DistinctSampler<T> {
             self.mins.entry(h).or_insert_with(|| item.clone());
         }
         while self.mins.len() > self.k {
-            // lint: panic-ok(loop condition len > k >= 1 guarantees the map is non-empty)
+            #[expect(
+                clippy::expect_used,
+                reason = "loop condition len > k >= 1 guarantees the map is non-empty"
+            )]
             let max_kept = *self.mins.keys().next_back().expect("non-empty");
             self.mins.remove(&max_kept);
         }

@@ -197,7 +197,10 @@ impl SparseRecovery {
             return None;
         }
         // Verify: re-encoding the candidates must reproduce every cell.
-        // lint: panic-ok(parameters were validated when self was constructed with them)
+        #[expect(
+            clippy::expect_used,
+            reason = "parameters were validated when self was constructed with them"
+        )]
         let mut check = Self::new(self.s, self.rows, self.seed).expect("same params");
         for (&idx, &w) in &candidates {
             check.update(idx, w);

@@ -109,11 +109,17 @@ impl<T: Clone> MergeSketch for ReservoirR<T> {
                 self.rng.gen_range(wa + wb) < wa
             };
             if take_a {
-                // lint: panic-ok(take_a is only chosen when pool_a is non-empty)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "take_a is only chosen when pool_a is non-empty"
+                )]
                 merged.push(pool_a.pop().expect("non-empty"));
                 wa = wa.saturating_sub(1);
             } else {
-                // lint: panic-ok(take_a is false only when pool_b is non-empty)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "take_a is false only when pool_b is non-empty"
+                )]
                 merged.push(pool_b.pop().expect("non-empty"));
                 wb = wb.saturating_sub(1);
             }

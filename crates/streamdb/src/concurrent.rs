@@ -369,8 +369,11 @@ impl ConcurrentEngine {
     /// [`silence_injected_panics`](crate::silence_injected_panics) to keep
     /// drill output clean.
     pub fn inject_coordinator_panic(&self) {
+        #[expect(
+            clippy::panic,
+            reason = "drill hook: deterministic injected coordinator death, contained by the control boundary which poisons the engine"
+        )]
         self.control::<()>(|_| {
-            // lint: panic-ok(drill hook: deterministic injected coordinator death, contained by the control boundary which poisons the engine)
             panic!("{INJECTED_PANIC_MARKER}: injected coordinator crash (drill)")
         });
     }
@@ -1017,9 +1020,10 @@ impl Coordinator {
 }
 
 #[cfg(test)]
-// `row!` expands to `vec![...]`, which tests also pass to slice-taking
-// query methods — fine here.
-#[allow(clippy::useless_vec)]
+#[allow(
+    clippy::useless_vec,
+    reason = "`row!` expands to `vec![...]`, which tests also pass to slice-taking query methods"
+)]
 mod tests {
     use super::*;
     use crate::fault::FaultKind;
@@ -1322,6 +1326,10 @@ mod tests {
         conc.inject_coordinator_panic();
         // Tickets submitted around and after the kill all resolve.
         let tickets: Vec<BatchTicket> = (0..8).map(|_| conc.submit_batch(rows(100, 7))).collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a test deadline, never sketch state"
+        )]
         let start = std::time::Instant::now();
         for t in tickets {
             let err = t.wait().expect_err("poisoned engine commits nothing");
@@ -1549,6 +1557,10 @@ mod tests {
         let before = conc.to_snapshot_bytes();
 
         conc.inject_coordinator_panic();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a test deadline, never sketch state"
+        )]
         let start = std::time::Instant::now();
         let incompatible = |r: SketchResult<()>| {
             assert!(matches!(r, Err(SketchError::Incompatible { .. })), "{r:?}");

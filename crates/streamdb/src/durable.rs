@@ -271,13 +271,29 @@ fn crash_error(point: KillPoint) -> SketchError {
     }
 }
 
-/// Encodes the WAL segment header for `epoch`.
-fn wal_header(epoch: u64) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_bytes(WAL_MAGIC);
-    w.put_u16(WAL_VERSION);
-    w.put_u64(epoch);
-    w.into_bytes()
+/// The error every entry point returns once a persistence failure has
+/// poisoned the handle.
+fn poisoned_error() -> SketchError {
+    SketchError::invalid(
+        "engine",
+        "durable store is poisoned after a persistence failure; recover() from disk",
+    )
+}
+
+/// Creates (or truncates) the WAL segment at `path` for `epoch` with a
+/// durable header, returning the open handle.
+fn create_wal_segment(path: &Path, epoch: u64) -> SketchResult<File> {
+    let mut header = ByteWriter::new();
+    header.put_bytes(WAL_MAGIC);
+    header.put_u16(WAL_VERSION);
+    header.put_u64(epoch);
+    let mut wal = File::create(path)
+        .map_err(|e| SketchError::io(format!("creating {}", path.display()), &e))?;
+    wal.write_all(&header.into_bytes())
+        .map_err(|e| SketchError::io("writing wal header", &e))?;
+    wal.sync_all()
+        .map_err(|e| SketchError::io("fsyncing wal header", &e))?;
+    Ok(wal)
 }
 
 /// Encodes one WAL record: `len | body | xxh64(body)`, where the body is
@@ -390,7 +406,7 @@ impl<E: StreamEngine> DurableEngine<E> {
             clock: Arc::new(MonotonicClock::new()),
         };
         this.write_checkpoint_file(0, None)?;
-        this.wal = this.create_wal_segment(0)?;
+        this.wal = create_wal_segment(&this.dir.join(wal_name(0)), 0)?;
         sync_dir(&this.dir)?;
         Ok(this)
     }
@@ -487,12 +503,7 @@ impl<E: StreamEngine> DurableEngine<E> {
             warnings.push(format!(
                 "wal segment for epoch {epoch} missing; starting an empty one"
             ));
-            let mut wal = File::create(&wal_path)
-                .map_err(|e| SketchError::io(format!("creating {}", wal_path.display()), &e))?;
-            wal.write_all(&wal_header(epoch))
-                .map_err(|e| SketchError::io("writing wal header", &e))?;
-            wal.sync_all()
-                .map_err(|e| SketchError::io("fsyncing wal header", &e))?;
+            create_wal_segment(&wal_path, epoch)?;
         }
 
         // 4. Delete every file from other epochs (older checkpoints and
@@ -597,10 +608,7 @@ impl<E: StreamEngine> DurableEngine<E> {
         ctx: &TraceContext,
     ) -> Result<BatchSummary, BatchError> {
         if self.poisoned {
-            return Err(durability_error(SketchError::invalid(
-                "engine",
-                "durable store is poisoned after a persistence failure; recover() from disk",
-            )));
+            return Err(durability_error(poisoned_error()));
         }
         let batch = self.batch_counter;
         self.batch_counter += 1;
@@ -708,10 +716,7 @@ impl<E: StreamEngine> DurableEngine<E> {
     /// [`DurableEngine::process_batch`].
     pub fn checkpoint_now(&mut self) -> SketchResult<()> {
         if self.poisoned {
-            return Err(SketchError::invalid(
-                "engine",
-                "durable store is poisoned after a persistence failure; recover() from disk",
-            ));
+            return Err(poisoned_error());
         }
         self.checkpoint_with_metrics(None, "forced")
             .inspect_err(|_| self.poisoned = true)
@@ -725,10 +730,7 @@ impl<E: StreamEngine> DurableEngine<E> {
     /// Report failures pass through; persistence failures poison the store.
     pub fn flush_window(&mut self) -> SketchResult<Vec<(Vec<Value>, Vec<AggregateResult>)>> {
         if self.poisoned {
-            return Err(SketchError::invalid(
-                "engine",
-                "durable store is poisoned after a persistence failure; recover() from disk",
-            ));
+            return Err(poisoned_error());
         }
         let window = self.engine.flush_window()?;
         self.checkpoint_with_metrics(None, "window")
@@ -818,8 +820,11 @@ impl<E: StreamEngine> DurableEngine<E> {
         snap.add_gauge(names::WAL_ROWS, self.wal_rows);
         snap.add_gauge(names::WAL_BYTES, self.wal_bytes);
         snap.add_gauge(names::WAL_BATCHES, self.wal_batches);
+        #[expect(
+            clippy::expect_used,
+            reason = "every obs histogram shares one fixed (k, seed), so snapshot merge cannot fail"
+        )]
         snap.merge(&self.engine.metrics())
-            // lint: panic-ok(every obs histogram shares one fixed (k, seed), so snapshot merge cannot fail)
             .expect("obs snapshots share one KLL shape");
         snap
     }
@@ -883,26 +888,13 @@ impl<E: StreamEngine> DurableEngine<E> {
         Ok(())
     }
 
-    /// Creates WAL segment `epoch` with a durable header, returning the
-    /// open handle.
-    fn create_wal_segment(&self, epoch: u64) -> SketchResult<File> {
-        let path = self.dir.join(wal_name(epoch));
-        let mut wal = File::create(&path)
-            .map_err(|e| SketchError::io(format!("creating {}", path.display()), &e))?;
-        wal.write_all(&wal_header(epoch))
-            .map_err(|e| SketchError::io("writing wal header", &e))?;
-        wal.sync_all()
-            .map_err(|e| SketchError::io("fsyncing wal header", &e))?;
-        Ok(wal)
-    }
-
     /// The full checkpoint sequence: new checkpoint committed atomically,
     /// fresh WAL segment, old epoch deleted. Leaves the handle on the new
     /// epoch with zeroed lag counters.
     fn checkpoint_inner(&mut self, kill_batch: Option<u64>) -> SketchResult<()> {
         let next = self.epoch + 1;
         self.write_checkpoint_file(next, kill_batch)?;
-        let wal = self.create_wal_segment(next)?;
+        let wal = create_wal_segment(&self.dir.join(wal_name(next)), next)?;
         sync_dir(&self.dir)?;
 
         let old_checkpoint = self.dir.join(checkpoint_name(self.epoch));
@@ -1024,12 +1016,7 @@ fn replay_wal<E: StreamEngine>(
         ));
         report.torn_tail_bytes += bytes.len() as u64;
         report.torn_tail_truncations += 1;
-        let mut wal = File::create(path)
-            .map_err(|e| SketchError::io(format!("rewriting {}", path.display()), &e))?;
-        wal.write_all(&wal_header(epoch))
-            .map_err(|e| SketchError::io("writing wal header", &e))?;
-        wal.sync_all()
-            .map_err(|e| SketchError::io("fsyncing wal header", &e))?;
+        create_wal_segment(path, epoch)?;
         return Ok(());
     }
     let mut r = ByteReader::new(&bytes);
@@ -1348,6 +1335,50 @@ mod tests {
         assert_eq!(recovered.engine().to_snapshot_bytes(), survive_bytes);
         assert!(recovered.recovery().unwrap().torn_tail_bytes > 0);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_wal_header_is_rewritten_empty() {
+        // A crash while creating a segment leaves 0..WAL_HEADER_LEN bytes.
+        for len in [0, WAL_HEADER_LEN - 1] {
+            let dir = scratch_dir("torn-header");
+            let durable = DurableEngine::create(
+                &dir,
+                SketchEngine::new(spec()).unwrap(),
+                CheckpointPolicy::default(),
+            )
+            .unwrap();
+            drop(durable);
+            let wal_path = dir.join(wal_name(0));
+            fs::OpenOptions::new()
+                .write(true)
+                .open(&wal_path)
+                .unwrap()
+                .set_len(len)
+                .unwrap();
+
+            let mut recovered = DurableEngine::<SketchEngine>::recover(&dir).unwrap();
+            let report = recovered.recovery().unwrap();
+            assert!(
+                report.warnings.iter().any(|w| w.contains("torn header")),
+                "{:?}",
+                report.warnings
+            );
+            assert_eq!(report.torn_tail_truncations, 1);
+            assert_eq!(report.torn_tail_bytes, len);
+            assert_eq!(report.batches_replayed, 0);
+
+            // The rewritten segment takes appends that survive a recover.
+            recovered.process_batch(&batch(0, 40)).unwrap();
+            let bytes = recovered.engine().to_snapshot_bytes();
+            drop(recovered);
+            let again = DurableEngine::<SketchEngine>::recover(&dir).unwrap();
+            assert_eq!(again.engine().to_snapshot_bytes(), bytes);
+            let report = again.recovery().unwrap();
+            assert_eq!(report.batches_replayed, 1);
+            assert!(report.warnings.is_empty(), "{:?}", report.warnings);
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

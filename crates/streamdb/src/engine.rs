@@ -279,11 +279,14 @@ impl SketchEngine {
                     let reason = SketchError::invalid("fault", "injected ingest error");
                     return self.divert_or_fail(row_index, row, reason);
                 }
+                #[expect(
+                    clippy::panic,
+                    reason = "deterministic injected fault; always contained by the batch supervisor"
+                )]
                 Some(FaultKind::Panic) => {
                     if self.metrics.enabled {
                         self.metrics.injected_faults.inc();
                     }
-                    // lint: panic-ok(deterministic injected fault; always contained by the batch supervisor)
                     panic!("{INJECTED_PANIC_MARKER}: injected panic at row {row_index}");
                 }
                 None => {}
@@ -499,7 +502,8 @@ impl SketchEngine {
                 (Aggregate::Frequency { field }, AggState::Frequency(sf)) => {
                     sf.update(&row[*field]);
                 }
-                // lint: panic-ok(state vector is built from the same spec; a mismatch is a construction bug, not input)
+                // The state vector is built from the same spec; a mismatch is a
+                // construction bug, not input.
                 _ => unreachable!("state vector built from the same spec"),
             }
         }
@@ -563,7 +567,8 @@ impl SketchEngine {
                 return Ok(Some(sf.estimate(item)));
             }
         }
-        // lint: panic-ok(spec has a Frequency aggregate, so every state vector holds one; a mismatch is a construction bug)
+        // The spec has a Frequency aggregate, so every state vector holds one;
+        // a mismatch is a construction bug.
         unreachable!("state vector built from the same spec");
     }
 
@@ -980,9 +985,10 @@ fn read_agg_state(
 }
 
 #[cfg(test)]
-// The `row!` macro expands to `vec![...]`, which tests also pass to
-// slice-taking query methods — that is fine here.
-#[allow(clippy::useless_vec)]
+#[allow(
+    clippy::useless_vec,
+    reason = "`row!` expands to `vec![...]`, which tests also pass to slice-taking query methods"
+)]
 mod tests {
     use super::*;
     use crate::row;

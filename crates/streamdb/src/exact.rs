@@ -212,9 +212,10 @@ impl ExactEngine {
 }
 
 #[cfg(test)]
-// The `row!` macro expands to `vec![...]`, which tests also pass to
-// slice-taking query methods — that is fine here.
-#[allow(clippy::useless_vec)]
+#[allow(
+    clippy::useless_vec,
+    reason = "`row!` expands to `vec![...]`, which tests also pass to slice-taking query methods"
+)]
 mod tests {
     use super::*;
     use crate::row;

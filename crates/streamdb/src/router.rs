@@ -332,8 +332,11 @@ pub(crate) fn metrics<S: Borrow<SketchEngine>>(
     let mut snap = router.snapshot();
     for (i, shard) in shards.iter().enumerate() {
         let shard = shard.borrow();
+        #[expect(
+            clippy::expect_used,
+            reason = "every obs histogram shares one fixed (k, seed), so snapshot merge cannot fail"
+        )]
         snap.merge(&shard.metrics())
-            // lint: panic-ok(every obs histogram shares one fixed (k, seed), so snapshot merge cannot fail)
             .expect("obs snapshots share one KLL shape");
         snap.add_gauge(&names::shard_rows_routed(i), shard.rows_processed());
     }

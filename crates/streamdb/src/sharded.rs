@@ -362,9 +362,10 @@ pub(crate) fn fresh_shards(
 }
 
 #[cfg(test)]
-// `row!` expands to `vec![...]`, which tests also pass to slice-taking
-// query methods — fine here.
-#[allow(clippy::useless_vec)]
+#[allow(
+    clippy::useless_vec,
+    reason = "`row!` expands to `vec![...]`, which tests also pass to slice-taking query methods"
+)]
 mod tests {
     use super::*;
     use crate::query::Aggregate;

@@ -81,7 +81,10 @@ impl std::fmt::Display for SnapshotKind {
 
 /// A restored engine snapshot: whichever engine kind the bytes contained.
 #[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // one short-lived value per restore: boxing buys only an allocation
+#[allow(
+    clippy::large_enum_variant,
+    reason = "one short-lived value per restore: boxing buys only an allocation"
+)]
 pub enum Snapshot {
     /// A sequential engine.
     Engine(SketchEngine),
@@ -341,9 +344,10 @@ impl ShardedEngine {
 }
 
 #[cfg(test)]
-// `row!` expands to `vec![...]`, which tests also pass to slice-taking
-// query methods — fine here.
-#[allow(clippy::useless_vec)]
+#[allow(
+    clippy::useless_vec,
+    reason = "`row!` expands to `vec![...]`, which tests also pass to slice-taking query methods"
+)]
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;

@@ -371,9 +371,10 @@ impl StreamEngine for ConcurrentEngine {
 }
 
 #[cfg(test)]
-// `row!` expands to `vec![...]`, which tests also pass to slice-taking
-// query methods — fine here.
-#[allow(clippy::useless_vec)]
+#[allow(
+    clippy::useless_vec,
+    reason = "`row!` expands to `vec![...]`, which tests also pass to slice-taking query methods"
+)]
 mod tests {
     use super::*;
     use crate::query::{Aggregate, QuerySpec};

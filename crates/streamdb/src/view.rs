@@ -183,7 +183,8 @@ impl EngineView {
                 return Ok(Some(slim.estimate(item)));
             }
         }
-        // lint: panic-ok(spec has a Frequency aggregate, so every state vector holds one; a mismatch is a construction bug)
+        // The spec has a Frequency aggregate, so every state vector holds one;
+        // a mismatch is a construction bug.
         unreachable!("view state built from the same spec");
     }
 
@@ -464,10 +465,16 @@ impl SketchEngine {
 /// shards behind locks take them out first.
 pub(crate) fn merged_view<S: Borrow<SketchEngine>>(shards: &[S]) -> EngineView {
     let mut shards = shards.iter().map(|s| s.borrow().query_view());
-    // lint: panic-ok(sharded topologies have >= 1 shard by construction)
+    #[expect(
+        clippy::expect_used,
+        reason = "sharded topologies have >= 1 shard by construction"
+    )]
     let mut view = shards.next().expect("at least one shard");
     for shard_view in shards {
-        // lint: panic-ok(shards share one spec by construction; a mismatch is a construction bug, not input)
+        #[expect(
+            clippy::expect_used,
+            reason = "shards share one spec by construction; a mismatch is a construction bug, not input"
+        )]
         view.merge(&shard_view)
             .expect("shards share one spec by construction");
     }
@@ -495,9 +502,10 @@ impl ShardedEngine {
 }
 
 #[cfg(test)]
-// `row!` expands to `vec![...]`, which tests also pass to slice-taking
-// query methods — fine here.
-#[allow(clippy::useless_vec)]
+#[allow(
+    clippy::useless_vec,
+    reason = "`row!` expands to `vec![...]`, which tests also pass to slice-taking query methods"
+)]
 mod tests {
     use super::*;
     use crate::row;

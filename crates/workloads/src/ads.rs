@@ -52,7 +52,10 @@ impl AdWorkload {
             users,
             campaigns,
             // Per-user impression counts are heavy-tailed.
-            // lint: panic-ok(users > 0 asserted above, the only ZipfGenerator requirement)
+            #[expect(
+                clippy::expect_used,
+                reason = "users > 0 asserted above, the only ZipfGenerator requirement"
+            )]
             user_gen: ZipfGenerator::new(users, 0.8, seed).expect("validated"),
             rng: Xoshiro256PlusPlus::new(seed ^ 0xAD5),
             seed,

@@ -44,11 +44,20 @@ impl FlowWorkload {
     #[must_use]
     pub fn new(hosts: u64, seed: u64) -> Self {
         Self {
-            // lint: panic-ok(hosts.max(1) and 1024 are positive, the only ZipfGenerator requirement)
+            #[expect(
+                clippy::expect_used,
+                reason = "hosts.max(1) and 1024 are positive, the only ZipfGenerator requirement"
+            )]
             src_gen: ZipfGenerator::new(hosts.max(1), 1.1, seed).expect("validated"),
-            // lint: panic-ok(hosts.max(1) is positive, the only ZipfGenerator requirement)
+            #[expect(
+                clippy::expect_used,
+                reason = "hosts.max(1) is positive, the only ZipfGenerator requirement"
+            )]
             dst_gen: ZipfGenerator::new(hosts.max(1), 0.9, seed ^ 1).expect("validated"),
-            // lint: panic-ok(1024 is positive, the only ZipfGenerator requirement)
+            #[expect(
+                clippy::expect_used,
+                reason = "1024 is positive, the only ZipfGenerator requirement"
+            )]
             port_gen: ZipfGenerator::new(1024, 1.3, seed ^ 2).expect("validated"),
             rng: Xoshiro256PlusPlus::new(seed ^ 3),
         }

@@ -8,6 +8,11 @@
 //!
 //! Run with: `cargo run --release --example ad_reach`
 
+#![allow(
+    clippy::expect_used,
+    reason = "an example is a fail-fast walkthrough, not library code"
+)]
+
 use std::collections::HashMap;
 use std::collections::HashSet;
 

@@ -6,6 +6,11 @@
 //!
 //! Run with: `cargo run --release --example network_monitor`
 
+#![allow(
+    clippy::expect_used,
+    reason = "an example is a fail-fast walkthrough, not library code"
+)]
+
 use sketches::streamdb::{Aggregate, AggregateResult, ExactEngine, QuerySpec, SketchEngine, Value};
 use sketches_workloads::flows::FlowWorkload;
 

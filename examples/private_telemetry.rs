@@ -6,6 +6,11 @@
 //!
 //! Run with: `cargo run --release --example private_telemetry`
 
+#![allow(
+    clippy::expect_used,
+    reason = "an example is a fail-fast walkthrough, not library code"
+)]
+
 use sketches::hash::rng::Xoshiro256PlusPlus;
 use sketches::privacy::{PrivateCmsClient, PrivateCmsServer, RapporAggregator, RapporClient};
 use sketches_workloads::zipf::ZipfGenerator;

@@ -154,7 +154,7 @@ macro_rules! impl_tuple_strategy {
             type Value = ($($name::Value,)+);
 
             fn generate(&self, rng: &mut TestRng) -> Self::Value {
-                #[allow(non_snake_case)]
+                #[allow(non_snake_case, reason = "the bindings reuse the macro's uppercase type-parameter names")]
                 let ($($name,)+) = self;
                 ($($name.generate(rng),)+)
             }

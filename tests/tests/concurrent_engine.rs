@@ -6,6 +6,12 @@
 //! sequential engine group for group and the sharded engine byte for byte.
 //! The durable wrapper must compose with the concurrent engine unchanged.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers outside #[test] fns fail fast; a panic here is the test failing"
+)]
+
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 

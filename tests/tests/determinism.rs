@@ -10,6 +10,12 @@
 //! the comparison across many rebuilds so a hash-order-dependent tie break
 //! cannot pass by luck.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers outside #[test] fns fail fast; a panic here is the test failing"
+)]
+
 use sketches::core::{ByteWriter, MergeSketch, QueryView, Update};
 use sketches::frequency::{HeavyHittersTracker, MisraGries, SfSketch};
 use sketches::graph::AgmGraphSketch;

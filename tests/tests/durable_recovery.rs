@@ -5,6 +5,12 @@
 //! rule is also pinned: a torn final record is truncated with a warning;
 //! interior damage is a typed `Corrupted` error.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers outside #[test] fns fail fast; a panic here is the test failing"
+)]
+
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 

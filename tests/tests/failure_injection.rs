@@ -3,6 +3,12 @@
 //! parameters, and answer empty-state queries sanely. One consolidated
 //! sweep so a regression in any crate's error discipline fails loudly.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers outside #[test] fns fail fast; a panic here is the test failing"
+)]
+
 use sketches::core::{CardinalityEstimator, MergeSketch, QuantileSketch, SketchError, Update};
 use sketches::prelude::*;
 

@@ -4,6 +4,12 @@
 //! row/shard/cause, and (4) leave the engine able to retry to a state
 //! byte-identical to a never-faulted baseline.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers outside #[test] fns fail fast; a panic here is the test failing"
+)]
+
 use sketches::streamdb::metrics::names;
 use sketches::streamdb::{
     silence_injected_panics, Aggregate, BatchCause, ConcurrentEngine, FaultInjector, FaultKind,

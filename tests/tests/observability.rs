@@ -4,6 +4,12 @@
 //! surfaces its torn-tail repairs as counters, snapshot merging never
 //! panics, and routing skew is visible in the per-shard gauges.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers outside #[test] fns fail fast; a panic here is the test failing"
+)]
+
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 

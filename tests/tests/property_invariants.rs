@@ -2,6 +2,12 @@
 //! merge ≡ concatenation, no-underestimate guarantees, bounds ordering,
 //! and determinism — on arbitrary streams, not hand-picked ones.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers outside #[test] fns fail fast; a panic here is the test failing"
+)]
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sketches::prelude::*;

@@ -2,6 +2,12 @@
 //! shard count, any batch split must report exactly like one sequential
 //! engine; and engine-level merge must be associative and commutative.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers outside #[test] fns fail fast; a panic here is the test failing"
+)]
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sketches::streamdb::{Aggregate, QuerySpec, Row, ShardedEngine, SketchEngine, Value};

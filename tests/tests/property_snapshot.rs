@@ -3,6 +3,12 @@
 //! snapshot is detected as a typed `Corrupted` error — never a panic,
 //! never a silently-wrong engine.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers outside #[test] fns fail fast; a panic here is the test failing"
+)]
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sketches::core::SketchError;

@@ -6,6 +6,12 @@
 //! and per-route quantile gauges, and keeps every read-side endpoint
 //! alive while degraded read-only.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers outside #[test] fns fail fast; a panic here is the test failing"
+)]
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;

@@ -5,6 +5,12 @@
 //! checkpoint restores byte-exact. Every exchange uses a plain blocking
 //! socket client, so these tests exercise exactly what `curl` would see.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers outside #[test] fns fail fast; a panic here is the test failing"
+)]
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;

@@ -3,6 +3,12 @@
 //! that the sequential and sharded engines answer identically through the
 //! unified surface.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers outside #[test] fns fail fast; a panic here is the test failing"
+)]
+
 use sketches::streamdb::{
     Aggregate, FaultPolicy, QuerySpec, Row, ShardedEngine, SketchEngine, StreamEngine, Value,
 };
