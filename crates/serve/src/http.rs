@@ -457,6 +457,79 @@ mod tests {
         assert!(text.contains("\"error\":\"overloaded\""));
     }
 
+    /// Serves `data` in reads that end at each offset in `cuts` (and at
+    /// the end), never more than the caller's buffer holds; once the data
+    /// is spent, a `stall` reader fails the next read as a socket timeout
+    /// does.
+    struct Chunked {
+        data: Vec<u8>,
+        cuts: Vec<usize>,
+        pos: usize,
+        stall: bool,
+    }
+
+    impl Chunked {
+        fn new(data: &str, cuts: Vec<usize>, stall: bool) -> Self {
+            Self {
+                data: data.as_bytes().to_vec(),
+                cuts,
+                pos: 0,
+                stall,
+            }
+        }
+    }
+
+    impl Read for Chunked {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.pos == self.data.len() && self.stall {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let end = self
+                .cuts
+                .iter()
+                .copied()
+                .find(|&c| c > self.pos && c < self.data.len())
+                .unwrap_or(self.data.len());
+            let n = (end - self.pos).min(buf.len());
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    const INGEST: &str =
+        "POST /v1/ingest?x=1 HTTP/1.1\r\nHost: a\r\nContent-Length: 13\r\n\r\n{\"rows\":[[]]}";
+
+    fn parse_chunked(cuts: Vec<usize>) -> String {
+        let req = read_request(&mut Chunked::new(INGEST, cuts, false), &Limits::default());
+        format!("{:?}", req.unwrap())
+    }
+
+    #[test]
+    fn read_boundaries_do_not_change_the_request() {
+        let req = parse(INGEST).unwrap();
+        assert_eq!(req.body, b"{\"rows\":[[]]}");
+        let whole = format!("{req:?}");
+        let byte_per_read = (1..INGEST.len()).collect();
+        assert_eq!(parse_chunked(byte_per_read), whole);
+        // The head terminator straddles two reads.
+        let terminator = INGEST.find("\r\n\r\n").unwrap();
+        assert_eq!(parse_chunked(vec![terminator + 2]), whole);
+        // Head and body arrive in one read.
+        assert_eq!(parse_chunked(vec![]), whole);
+    }
+
+    #[test]
+    fn a_read_timing_out_mid_head_is_timed_out() {
+        let partial = "GET /x HTTP/1.1\r\nHo";
+        for cuts in [vec![], (1..partial.len()).collect()] {
+            assert!(matches!(
+                read_request(&mut Chunked::new(partial, cuts, true), &Limits::default()),
+                Err(ReadError::TimedOut)
+            ));
+        }
+    }
+
     #[test]
     fn percent_decoding_rejects_malformed() {
         assert_eq!(percent_decode("a%20b+c"), Some("a b c".to_string()));

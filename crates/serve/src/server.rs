@@ -13,12 +13,13 @@
 //! * **Graceful degradation** — a poisoned engine flips the server
 //!   read-only: queries keep serving the last published epoch, ingest
 //!   returns 503, `/healthz` stays green, `/readyz` goes red.
-//! * **Graceful drain** — [`Server::shutdown`] stops admission, drains
-//!   queued and in-flight requests, flushes a final checkpoint, and
-//!   reports what it did.
+//! * **Graceful drain** — [`Server::shutdown`] stops admission (the accept
+//!   thread, blocked in `accept()`, is woken by a connect to the bound
+//!   port), drains queued and in-flight requests, flushes a final
+//!   checkpoint, and reports what it did.
 
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -118,9 +119,6 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| format!("local_addr: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("set_nonblocking: {e}"))?;
 
         let state = Arc::new(AppState::new(
             backend,
@@ -210,6 +208,7 @@ impl Server {
         let start = self.state.clock.now_nanos();
         self.state.draining.store(true, Ordering::Release);
         self.stop.store(true, Ordering::Release);
+        wake_accept(self.addr);
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
@@ -243,12 +242,28 @@ impl Server {
 }
 
 impl Drop for Server {
-    // lint: drop-ok(only atomic stores: threads observe the flags and stop on
-    // their own; joins, locks, and the final checkpoint belong to `shutdown`)
+    // lint: drop-ok(the flag stores plus one best-effort, time-bounded wake connect
+    // whose failure is ignored; joins, locks, the final checkpoint are `shutdown`'s)
     fn drop(&mut self) {
         self.state.draining.store(true, Ordering::Release);
         self.stop.store(true, Ordering::Release);
+        // Unless `shutdown` joined it, the accept thread holds the listener.
+        if self.accept_handle.is_some() {
+            wake_accept(self.addr);
+        }
     }
+}
+
+/// Unblocks the accept thread once `stop` is set: one best-effort connect
+/// to the bound port (loopback of the same family for an unspecified IP).
+fn wake_accept(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
 fn accept_loop(
@@ -259,17 +274,16 @@ fn accept_loop(
     config: &ServerConfig,
 ) {
     let mut next = 0usize;
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::Acquire) {
+            // The wake connect or a late arrival: dropped unanswered.
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => admit(stream, txs, &mut next, state, config),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => {
-                // Transient accept failure (e.g. aborted handshake); the
-                // listener itself is still good.
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            // EMFILE fails at once until a worker frees a descriptor: back off, don't spin.
+            Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
     }
 }

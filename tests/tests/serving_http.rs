@@ -1,8 +1,9 @@
 //! Integration drills for the `sketches-serve` front door over real TCP:
 //! the full ingest → query → metrics walkthrough, a stalled client hitting
 //! the request deadline, overload shedding with a tiny worker pool, the
-//! poisoned-engine read-only degradation, and a graceful drain whose final
-//! checkpoint restores byte-exact. Every exchange uses a plain blocking
+//! poisoned-engine read-only degradation, a graceful drain whose final
+//! checkpoint restores byte-exact, and the wake that unblocks the accept
+//! thread on shutdown and drop. Every exchange uses a plain blocking
 //! socket client, so these tests exercise exactly what `curl` would see.
 
 #![allow(
@@ -12,7 +13,7 @@
 )]
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -417,4 +418,52 @@ fn drain_flushes_checkpoint_and_restart_is_byte_exact() {
     );
     drop(recovered);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `shutdown` on its own thread and fails, instead of hanging, if it
+/// has not returned within 5 s: the accept thread blocks in `accept()`, so
+/// a missing wake would leave the join waiting forever.
+fn shutdown_within_5s(server: Server) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let drain = std::thread::spawn(move || {
+        let report = server.shutdown();
+        let _ = tx.send(report.shed_total);
+    });
+    let shed = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("shutdown of an idle server returns within 5 s");
+    drain.join().expect("the shutdown thread exits cleanly");
+    assert_eq!(shed, 0, "the wake connect is not a shed");
+}
+
+#[test]
+fn shutdown_wakes_an_idle_accept_thread() {
+    shutdown_within_5s(volatile_server(ServerConfig::default()));
+}
+
+#[test]
+fn shutdown_wakes_a_server_bound_to_the_unspecified_address() {
+    let server = volatile_server(ServerConfig {
+        addr: "0.0.0.0:0".to_string(),
+        ..ServerConfig::default()
+    });
+    assert!(server.addr().ip().is_unspecified());
+    shutdown_within_5s(server);
+}
+
+/// A `Server` dropped without `shutdown` still wakes its accept thread,
+/// which exits and closes the listener. The wait polls with `bind`, not
+/// `connect`: a connect would itself wake a thread left blocked.
+#[test]
+fn dropped_server_closes_its_listener_within_2s() {
+    let server = volatile_server(ServerConfig::default());
+    let addr = server.addr();
+    drop(server);
+    let released = (0..200).any(|_| {
+        std::thread::sleep(Duration::from_millis(10));
+        TcpListener::bind(addr).is_ok()
+    });
+    assert!(released, "the listener is still bound 2 s after drop");
+    let err = TcpStream::connect(addr).expect_err("nothing listens after drop");
+    assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
 }
