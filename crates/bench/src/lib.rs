@@ -1,6 +1,5 @@
 //! Support library for the experiments binary: table printing and timing.
 
-#![forbid(unsafe_code)]
 #![allow(
     clippy::unwrap_used,
     clippy::expect_used,

@@ -34,8 +34,6 @@
 //! assert!((est - 100_000.0).abs() / 100_000.0 < 0.05);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod fm;
 pub mod hll;
 pub mod hllpp;

@@ -16,8 +16,6 @@
 //! * [`mutex::MutexSketch`] — the baseline everyone starts with: one big
 //!   lock around a sequential sketch.
 
-#![forbid(unsafe_code)]
-
 pub mod atomic;
 pub mod buffered;
 pub mod mutex;

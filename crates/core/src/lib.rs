@@ -26,8 +26,6 @@
 //! stream-processing systems both conditions arrive from configuration and
 //! remote data, not from programmer error.
 
-#![forbid(unsafe_code)]
-
 pub mod codec;
 pub mod error;
 pub mod traits;

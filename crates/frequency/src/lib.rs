@@ -45,8 +45,6 @@
 //! assert_eq!(top.top_k(1)[0].0, "popular");
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod count_min;
 pub mod count_sketch;
 pub mod heavy_hitters;

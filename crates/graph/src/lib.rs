@@ -13,8 +13,6 @@
 //! * [`agm`] — the AGM sketch with connectivity / spanning-forest /
 //!   component queries (experiment E11).
 
-#![forbid(unsafe_code)]
-
 pub mod agm;
 pub mod union_find;
 

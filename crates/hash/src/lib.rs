@@ -36,8 +36,6 @@
 //! assert!(f.hash(12345) < 1024);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod bits;
 pub mod family;
 pub mod hasher;

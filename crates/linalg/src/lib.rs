@@ -22,8 +22,6 @@
 //!
 //! Experiment E9 reproduces the norm-preservation claims.
 
-#![forbid(unsafe_code)]
-
 pub mod ams;
 pub mod frequent_directions;
 pub mod jl;

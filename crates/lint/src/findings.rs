@@ -3,9 +3,10 @@
 use std::fmt;
 use std::path::PathBuf;
 
-/// The seven lint classes. Retired ids are never reused: `L5` is rustc's
-/// `missing_docs`, `L4` is clippy's `disallowed_methods`/`disallowed_types`
-/// (configured in `crates/clippy.toml`). See `DESIGN.md` §7 for the full policy.
+/// The five lint classes. Retired ids are never reused: `L3` is rustc's
+/// `unsafe_code = "forbid"`, `L5` is rustc's `missing_docs`, `L4` and `L8`
+/// are clippy's `disallowed_methods`/`disallowed_types` (configured in
+/// `crates/clippy.toml`). See `DESIGN.md` §7 for the full policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// Unordered `HashMap`/`HashSet` iteration on a report path.
@@ -13,14 +14,10 @@ pub enum Rule {
     /// Undeclared `catch_unwind` boundary in library non-test code (the
     /// `unwrap`/`expect`/`panic!` half is clippy's).
     L2PanicFree,
-    /// Crate root missing `#![forbid(unsafe_code)]`.
-    L3ForbidUnsafe,
     /// Blocking operation or user-closure call while a lock guard is live.
     L6GuardHygiene,
     /// Lock-acquisition cycle across the workspace (potential deadlock).
     L7LockOrder,
-    /// Unbounded channels or unhandled `recv` results.
-    L8ChannelDiscipline,
     /// Lock/IO/send/panic inside a `Drop` implementation.
     L9DropSafety,
 }
@@ -33,10 +30,8 @@ impl Rule {
         match self {
             Self::L1SortedIteration => "L1",
             Self::L2PanicFree => "L2",
-            Self::L3ForbidUnsafe => "L3",
             Self::L6GuardHygiene => "L6",
             Self::L7LockOrder => "L7",
-            Self::L8ChannelDiscipline => "L8",
             Self::L9DropSafety => "L9",
         }
     }
@@ -47,10 +42,8 @@ impl Rule {
         match self {
             Self::L1SortedIteration => "sorted-iteration",
             Self::L2PanicFree => "panic-boundary",
-            Self::L3ForbidUnsafe => "forbid-unsafe",
             Self::L6GuardHygiene => "guard-hygiene",
             Self::L7LockOrder => "lock-ordering",
-            Self::L8ChannelDiscipline => "channel-discipline",
             Self::L9DropSafety => "drop-safety",
         }
     }
@@ -61,10 +54,8 @@ impl Rule {
         match self {
             Self::L1SortedIteration => Some("sorted-iteration-ok"),
             Self::L2PanicFree => Some("panic-boundary"),
-            Self::L3ForbidUnsafe => Some("unsafe-audited"),
             Self::L6GuardHygiene => Some("guard-scope"),
             Self::L7LockOrder => Some("lock-order-ok"),
-            Self::L8ChannelDiscipline => Some("channel-ok"),
             Self::L9DropSafety => Some("drop-ok"),
         }
     }
@@ -81,10 +72,6 @@ impl Rule {
                 "every catch_unwind in library non-test code declares its recovery contract \
                  (`// lint: panic-boundary(reason)`); unwrap/expect/panic! are clippy's"
             }
-            Self::L3ForbidUnsafe => {
-                "every crate root carries #![forbid(unsafe_code)] \
-                 (audited exception: #![deny(unsafe_code)] + `// lint: unsafe-audited(reason)`)"
-            }
             Self::L6GuardHygiene => {
                 "no blocking operation (send/recv/wait/join/fsync/sync_all) and no \
                  user-supplied closure call while a lock guard is live in scope \
@@ -95,11 +82,6 @@ impl Rule {
                  acquisitions must follow one global order \
                  (escape: `// lint: lock-order-ok(reason)`)"
             }
-            Self::L8ChannelDiscipline => {
-                "bounded channels only (no unbounded()), recv/try_recv results \
-                 handled (no unwrap), disconnection arms present in select loops \
-                 (escape: `// lint: channel-ok(reason)`)"
-            }
             Self::L9DropSafety => {
                 "Drop impls must not acquire locks, perform fallible I/O, send on \
                  channels, or panic — surface failures through a consuming close() \
@@ -109,13 +91,11 @@ impl Rule {
     }
 
     /// All rules, in order.
-    pub const ALL: [Rule; 7] = [
+    pub const ALL: [Rule; 5] = [
         Self::L1SortedIteration,
         Self::L2PanicFree,
-        Self::L3ForbidUnsafe,
         Self::L6GuardHygiene,
         Self::L7LockOrder,
-        Self::L8ChannelDiscipline,
         Self::L9DropSafety,
     ];
 }
@@ -296,14 +276,14 @@ mod tests {
     #[test]
     fn github_annotations_escape_newlines_and_commas() {
         let f = Finding {
-            rule: Rule::L8ChannelDiscipline,
+            rule: Rule::L9DropSafety,
             file: PathBuf::from("crates/a, b/src/lib.rs"),
             line: 7,
             message: "first\nsecond % done".into(),
         };
         let g = to_github(&[f]);
         assert!(g.starts_with("::error file=crates/a%2C b/src/lib.rs,line=7,"));
-        assert!(g.contains("title=L8 channel-discipline"));
+        assert!(g.contains("title=L9 drop-safety"));
         assert!(g.contains("::first%0Asecond %25 done\n"));
     }
 }

@@ -1,7 +1,5 @@
 //! CLI for `sketches-lint`: `check` (the CI gate) and `rules` (policy docs).
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -12,7 +10,7 @@ sketches-lint — determinism & concurrency-safety analyzer for the sketches wor
 
 USAGE:
     sketches-lint check [--json|--github] [--root <dir>]   lint the workspace (exit 1 on findings)
-    sketches-lint rules                                    print the seven rule classes
+    sketches-lint rules                                    print the five rule classes
 
 OUTPUT:
     (default)   human-readable findings, one per line
@@ -91,12 +89,12 @@ fn check_cmd(args: &[String]) -> ExitCode {
     } else if github {
         print!("{}", to_github(&findings));
         if findings.is_empty() {
-            println!("sketches-lint: workspace clean (L1\u{2013}L9)");
+            println!("sketches-lint: workspace clean (L1, L2, L6, L7, L9)");
         } else {
             println!("sketches-lint: {} finding(s)", findings.len());
         }
     } else if findings.is_empty() {
-        println!("sketches-lint: workspace clean (L1\u{2013}L9)");
+        println!("sketches-lint: workspace clean (L1, L2, L6, L7, L9)");
     } else {
         for f in &findings {
             println!("{f}");

@@ -156,7 +156,6 @@ mod tests {
             Path::new("t.rs"),
             src,
             CrateKind::Library,
-            false,
         ))
     }
 

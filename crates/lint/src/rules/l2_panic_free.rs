@@ -56,7 +56,6 @@ mod tests {
             Path::new("t.rs"),
             src,
             CrateKind::Library,
-            false,
         ))
     }
 

@@ -100,7 +100,6 @@ mod tests {
             Path::new("t.rs"),
             src,
             CrateKind::Library,
-            false,
         ))
     }
 

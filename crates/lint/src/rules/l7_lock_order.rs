@@ -255,7 +255,7 @@ mod tests {
     use std::path::Path;
 
     fn run(src: &str) -> Vec<Finding> {
-        let ctx = FileContext::new(Path::new("t.rs"), src, CrateKind::Library, false);
+        let ctx = FileContext::new(Path::new("t.rs"), src, CrateKind::Library);
         check_files(std::slice::from_ref(&ctx))
     }
 

@@ -106,7 +106,6 @@ mod tests {
             Path::new("t.rs"),
             src,
             CrateKind::Library,
-            false,
         ))
     }
 

@@ -9,10 +9,8 @@
 
 mod l1_sorted_iteration;
 mod l2_panic_free;
-mod l3_forbid_unsafe;
 mod l6_guard_hygiene;
 pub(crate) mod l7_lock_order;
-mod l8_channel_discipline;
 mod l9_drop_safety;
 
 use std::collections::{HashMap, HashSet};
@@ -30,8 +28,6 @@ pub struct FileContext<'a> {
     pub path: &'a Path,
     /// Which crate category the file belongs to.
     pub kind: CrateKind,
-    /// Whether this file is a crate root (`lib.rs`/`main.rs`).
-    pub is_crate_root: bool,
     /// Token stream and comments.
     pub lexed: LexedFile,
     /// Per-token: inside `#[cfg(test)]` / `#[test]` code.
@@ -54,7 +50,7 @@ pub struct FileContext<'a> {
 impl<'a> FileContext<'a> {
     /// Lexes and analyzes `src`.
     #[must_use]
-    pub fn new(path: &'a Path, src: &str, kind: CrateKind, is_crate_root: bool) -> Self {
+    pub fn new(path: &'a Path, src: &str, kind: CrateKind) -> Self {
         let lexed = lex(src);
         let n = lexed.tokens.len();
         let brace_match = match_braces(&lexed.tokens);
@@ -73,7 +69,6 @@ impl<'a> FileContext<'a> {
         Self {
             path,
             kind,
-            is_crate_root,
             lexed,
             test_mask,
             macro_mask,
@@ -108,21 +103,15 @@ pub fn run_all(ctx: &FileContext<'_>) -> Vec<Finding> {
         CrateKind::Library => {
             out.extend(l1_sorted_iteration::check(ctx));
             out.extend(l2_panic_free::check(ctx));
-            out.extend(l3_forbid_unsafe::check(ctx));
             out.extend(l6_guard_hygiene::check(ctx));
-            out.extend(l8_channel_discipline::check(ctx));
             out.extend(l9_drop_safety::check(ctx));
         }
         CrateKind::Tool => {
             out.extend(l2_panic_free::check(ctx));
-            out.extend(l3_forbid_unsafe::check(ctx));
             out.extend(l6_guard_hygiene::check(ctx));
-            out.extend(l8_channel_discipline::check(ctx));
             out.extend(l9_drop_safety::check(ctx));
         }
-        CrateKind::Bench => {
-            out.extend(l3_forbid_unsafe::check(ctx));
-        }
+        CrateKind::Bench => {}
     }
     out.sort_by_key(|f| (f.line, f.rule));
     out
@@ -362,7 +351,7 @@ mod tests {
     fn ctx(src: &str) -> FileContext<'static> {
         // Leak the path: test-only convenience.
         let p: &'static Path = Box::leak(Box::new(PathBuf::from("test.rs")));
-        FileContext::new(p, src, CrateKind::Library, false)
+        FileContext::new(p, src, CrateKind::Library)
     }
 
     #[test]

@@ -10,10 +10,10 @@ pub enum CrateKind {
     /// A published sketch library: every rule applies.
     Library,
     /// The experiment/benchmark harness: timing and unwraps are its job;
-    /// only the unsafe-code rule applies.
+    /// no rule applies.
     Bench,
-    /// Developer tooling (this linter): panic-safety and unsafe rules apply,
-    /// but not the sketch-determinism rules.
+    /// Developer tooling (this linter): the panic-boundary and concurrency
+    /// rules apply, but not the sketch-determinism rule (L1).
     Tool,
 }
 
@@ -28,8 +28,6 @@ pub struct WorkspaceCrate {
     pub dir: PathBuf,
     /// All `.rs` files under `src/`, sorted for stable output.
     pub sources: Vec<PathBuf>,
-    /// Crate-root files (`src/lib.rs` and/or `src/main.rs`) present.
-    pub roots: Vec<PathBuf>,
 }
 
 /// Classifies a crate directory name.
@@ -94,17 +92,11 @@ pub fn discover(root: &Path) -> std::io::Result<Vec<WorkspaceCrate>> {
             collect_rs(&src, &mut sources)?;
         }
         sources.sort();
-        let roots = ["lib.rs", "main.rs"]
-            .iter()
-            .map(|f| src.join(f))
-            .filter(|p| p.is_file())
-            .collect();
         out.push(WorkspaceCrate {
             kind: classify(&name),
             name,
             dir,
             sources,
-            roots,
         });
     }
     out.sort_by(|a, b| a.name.cmp(&b.name));
@@ -136,7 +128,6 @@ mod tests {
         assert!(names.contains(&"core"));
         assert!(names.contains(&"lint"));
         let core = crates.iter().find(|c| c.name == "core").expect("core");
-        assert!(!core.sources.is_empty());
-        assert_eq!(core.roots.len(), 1);
+        assert!(core.sources.contains(&core.dir.join("src/lib.rs")));
     }
 }

@@ -15,23 +15,23 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("fixture {name}: {e}"))
 }
 
-/// Lints one fixture as a library file; `is_root` marks it a crate root.
-fn run(name: &str, is_root: bool) -> Vec<Finding> {
-    check_source(Path::new(name), &fixture(name), CrateKind::Library, is_root)
+/// Lints one fixture as a library file.
+fn run(name: &str) -> Vec<Finding> {
+    check_source(Path::new(name), &fixture(name), CrateKind::Library)
 }
 
 /// Asserts the violation fixture produces exactly one finding of `rule`
 /// (and nothing else — fixtures must not trip unrelated rules), and that
 /// the suppressed twin is completely clean.
-fn assert_pair(rule: Rule, violation: &str, suppressed: &str, is_root: bool) {
-    let fired = run(violation, is_root);
+fn assert_pair(rule: Rule, violation: &str, suppressed: &str) {
+    let fired = run(violation);
     assert_eq!(
         fired.len(),
         1,
         "{violation}: expected exactly one finding, got {fired:#?}"
     );
     assert_eq!(fired[0].rule, rule, "{violation}: wrong rule: {fired:#?}");
-    let quiet = run(suppressed, is_root);
+    let quiet = run(suppressed);
     assert!(
         quiet.is_empty(),
         "{suppressed}: expected no findings, got {quiet:#?}"
@@ -44,7 +44,6 @@ fn l1_sorted_iteration_pair() {
         Rule::L1SortedIteration,
         "l1_violation.rs",
         "l1_suppressed.rs",
-        false,
     );
 }
 
@@ -54,7 +53,6 @@ fn l2_boundary_pair() {
         Rule::L2PanicFree,
         "l2_boundary_violation.rs",
         "l2_boundary_suppressed.rs",
-        false,
     );
 }
 
@@ -67,7 +65,6 @@ fn l2_replay_boundary_pair() {
         Rule::L2PanicFree,
         "l2_replay_boundary_violation.rs",
         "l2_replay_boundary_suppressed.rs",
-        false,
     );
 }
 
@@ -80,28 +77,12 @@ fn l2_worker_boundary_pair() {
         Rule::L2PanicFree,
         "l2_worker_boundary_violation.rs",
         "l2_worker_boundary_suppressed.rs",
-        false,
-    );
-}
-
-#[test]
-fn l3_forbid_unsafe_pair() {
-    assert_pair(
-        Rule::L3ForbidUnsafe,
-        "l3_violation.rs",
-        "l3_suppressed.rs",
-        true,
     );
 }
 
 #[test]
 fn l6_guard_hygiene_pair() {
-    assert_pair(
-        Rule::L6GuardHygiene,
-        "l6_violation.rs",
-        "l6_suppressed.rs",
-        false,
-    );
+    assert_pair(Rule::L6GuardHygiene, "l6_violation.rs", "l6_suppressed.rs");
 }
 
 #[test]
@@ -114,25 +95,19 @@ fn l6_query_view_pair() {
         Rule::L6GuardHygiene,
         "l6_query_view_violation.rs",
         "l6_query_view_suppressed.rs",
-        false,
     );
 }
 
 #[test]
 fn l7_lock_order_pair() {
-    assert_pair(
-        Rule::L7LockOrder,
-        "l7_violation.rs",
-        "l7_suppressed.rs",
-        false,
-    );
+    assert_pair(Rule::L7LockOrder, "l7_violation.rs", "l7_suppressed.rs");
 }
 
 #[test]
 fn l7_cycle_names_both_acquisition_sites() {
     // The deadlock report is only actionable if it points at *both* ends
     // of the reversed order, in their respective functions.
-    let fired = run("l7_violation.rs", false);
+    let fired = run("l7_violation.rs");
     assert_eq!(fired.len(), 1, "{fired:#?}");
     let msg = &fired[0].message;
     assert!(
@@ -147,23 +122,8 @@ fn l7_cycle_names_both_acquisition_sites() {
 }
 
 #[test]
-fn l8_channel_discipline_pair() {
-    assert_pair(
-        Rule::L8ChannelDiscipline,
-        "l8_violation.rs",
-        "l8_suppressed.rs",
-        false,
-    );
-}
-
-#[test]
 fn l9_drop_safety_pair() {
-    assert_pair(
-        Rule::L9DropSafety,
-        "l9_violation.rs",
-        "l9_suppressed.rs",
-        false,
-    );
+    assert_pair(Rule::L9DropSafety, "l9_violation.rs", "l9_suppressed.rs");
 }
 
 #[test]
@@ -173,14 +133,13 @@ fn bench_crates_are_exempt_from_sketch_rules() {
         Path::new("l1_violation.rs"),
         &fixture("l1_violation.rs"),
         CrateKind::Bench,
-        false,
     );
     assert!(findings.is_empty(), "bench exemption broken: {findings:#?}");
 }
 
 #[test]
 fn json_output_is_well_formed_for_fixture_findings() {
-    let findings = run("l2_boundary_violation.rs", false);
+    let findings = run("l2_boundary_violation.rs");
     let json = sketches_lint::to_json(&findings);
     assert!(json.contains("\"rule\": \"L2\""));
     assert!(json.contains("\"count\": 1"));

@@ -35,7 +35,7 @@ fn empty_document_reports_ok() {
 fn order_is_deterministic_regardless_of_input_order() {
     let a = finding("crates/a/src/lib.rs", 10, Rule::L6GuardHygiene);
     let b = finding("crates/a/src/lib.rs", 10, Rule::L9DropSafety);
-    let c = finding("crates/a/src/lib.rs", 2, Rule::L8ChannelDiscipline);
+    let c = finding("crates/a/src/lib.rs", 2, Rule::L2PanicFree);
     let d = finding("crates/b/src/lib.rs", 1, Rule::L1SortedIteration);
     let sorted = to_json(&[c.clone(), a.clone(), b.clone(), d.clone()]);
     let shuffled = to_json(&[d, b, a, c]);
@@ -46,7 +46,7 @@ fn order_is_deterministic_regardless_of_input_order() {
             .find(needle)
             .unwrap_or_else(|| panic!("{needle} missing"))
     };
-    assert!(pos("L8 at crates/a/src/lib.rs:2") < pos("L6 at crates/a/src/lib.rs:10"));
+    assert!(pos("L2 at crates/a/src/lib.rs:2") < pos("L6 at crates/a/src/lib.rs:10"));
     assert!(pos("L6 at crates/a/src/lib.rs:10") < pos("L9 at crates/a/src/lib.rs:10"));
     assert!(pos("L9 at crates/a/src/lib.rs:10") < pos("L1 at crates/b/src/lib.rs:1"));
 }

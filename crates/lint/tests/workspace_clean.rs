@@ -1,8 +1,8 @@
 //! The gate itself, as a test: the real workspace must be lint-clean
-//! under all seven rule classes (L1–L9 less the retired L4 and L5), with
-//! every suppression a tagged, reasoned decision — and the clippy
-//! configuration that carries L2's `unwrap`/`expect`/`panic!` half and
-//! all of L4 must stay in place.
+//! under all five rule classes (L1, L2, L6, L7, L9), with every
+//! suppression a tagged, reasoned decision — and the toolchain settings
+//! that carry the retired rules must stay in place: clippy for L2's
+//! `unwrap`/`expect`/`panic!` half, L4 and L8, rustc's `forbid` for L3.
 //!
 //! CI also runs the binary (`cargo run -p sketches-lint -- check --github`),
 //! but keeping the same assertion in `cargo test` means a violation cannot
@@ -24,6 +24,23 @@ fn root() -> PathBuf {
 
 fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The body of the `[header]` table in a TOML document, up to the next
+/// table header.
+fn toml_table<'a>(doc: &'a str, header: &str) -> &'a str {
+    doc.split(&format!("[{header}]\n"))
+        .nth(1)
+        .and_then(|rest| rest.split("\n[").next())
+        .unwrap_or_else(|| panic!("[{header}] table missing"))
+}
+
+/// The value of `key = value` in a TOML table body.
+fn toml_value<'a>(table: &'a str, key: &str) -> Option<&'a str> {
+    table
+        .lines()
+        .find_map(|l| l.split_once('=').filter(|(k, _)| k.trim() == key))
+        .map(|(_, v)| v.trim())
 }
 
 /// The text of `key = [ ... ]` in a TOML document, up to the closing `]`
@@ -51,7 +68,7 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 fn workspace_is_lint_clean() {
     // The gate covers the full rule set — a rule class silently dropping
     // out of `Rule::ALL` would weaken this test without failing it.
-    assert_eq!(Rule::ALL.len(), 7, "expected all seven rule classes");
+    assert_eq!(Rule::ALL.len(), 5, "expected all five rule classes");
     let findings = check_workspace(&root()).expect("workspace scan");
     assert!(
         findings.is_empty(),
@@ -67,21 +84,14 @@ fn clippy_carries_l2_panic_half_and_l4() {
     // L2's panic half: the root lint table keeps these on. CI runs clippy
     // at `-D warnings`, so "warn" is already a gate.
     let manifest = read(&root.join("Cargo.toml"));
-    let table = manifest
-        .split("[workspace.lints.clippy]")
-        .nth(1)
-        .and_then(|rest| rest.split("\n[").next())
-        .expect("[workspace.lints.clippy] table");
+    let table = toml_table(&manifest, "workspace.lints.clippy");
     for lint in [
         "unwrap_used",
         "expect_used",
         "panic",
         "allow_attributes_without_reason",
     ] {
-        let value = table
-            .lines()
-            .find_map(|l| l.split_once('=').filter(|(k, _)| k.trim() == lint))
-            .map(|(_, v)| v.trim())
+        let value = toml_value(table, lint)
             .unwrap_or_else(|| panic!("clippy::{lint} missing from the root lints"));
         assert!(
             ["\"warn\"", "\"deny\"", "\"forbid\""]
@@ -112,17 +122,24 @@ fn clippy_carries_l2_panic_half_and_l4() {
     }
 
     // The retired comment tags are gone: a leftover one would read as a
-    // suppression while suppressing nothing.
+    // suppression while suppressing nothing. The last two were L3's and
+    // L8's, whose checks the compiler now makes with no escape.
     let mut files = Vec::new();
     for dir in ["crates", "tests", "examples", "shims"] {
         rust_files(&root.join(dir), &mut files);
     }
     for file in &files {
         let src = read(file);
-        for tag in ["panic-ok", "nondeterminism-ok", "clock-impl"] {
+        for tag in [
+            "panic-ok",
+            "nondeterminism-ok",
+            "clock-impl",
+            "unsafe-audited",
+            "channel-ok",
+        ] {
             assert!(
                 !src.contains(&format!("lint: {tag}(")),
-                "{}: retired `{tag}` tag; use #[expect(clippy::..., reason = ...)]",
+                "{}: retired `{tag}` tag suppresses nothing",
                 file.display()
             );
         }
@@ -138,7 +155,7 @@ fn clippy_carries_l2_panic_half_and_l4() {
         }
         for file in &krate.sources {
             let rel = file.strip_prefix(&root).expect("under root");
-            let ctx = FileContext::new(rel, &read(file), krate.kind, false);
+            let ctx = FileContext::new(rel, &read(file), krate.kind);
             let suppresses = ctx.tokens().iter().enumerate().any(|(i, t)| {
                 (t.is_ident("disallowed_methods") || t.is_ident("disallowed_types"))
                     && ctx.is_checked_code(i)
@@ -149,4 +166,87 @@ fn clippy_carries_l2_panic_half_and_l4() {
         }
     }
     assert_eq!(suppressing, [PathBuf::from("crates/obs/src/clock.rs")]);
+}
+
+#[test]
+fn toolchain_carries_l3_and_l8() {
+    let root = root();
+
+    // L3: `forbid`, unlike `deny`, cannot be re-allowed inside a crate
+    // (rustc E0453). Every workspace member under crates/ and tests/
+    // inherits the root table; the shims set it in their own manifests.
+    let manifest = read(&root.join("Cargo.toml"));
+    assert_eq!(
+        toml_value(toml_table(&manifest, "workspace.lints.rust"), "unsafe_code"),
+        Some("\"forbid\"")
+    );
+    let mut members = vec![root.join("tests/Cargo.toml")];
+    let mut shims = Vec::new();
+    for (dir, out) in [("crates", &mut members), ("shims", &mut shims)] {
+        for entry in std::fs::read_dir(root.join(dir)).expect("readable dir") {
+            let manifest = entry.expect("dir entry").path().join("Cargo.toml");
+            if manifest.is_file() {
+                out.push(manifest);
+            }
+        }
+    }
+    assert!(
+        members.len() > 20 && shims.len() == 4,
+        "{members:?} {shims:?}"
+    );
+    for manifest in &members {
+        let table = toml_table(&read(manifest), "lints").to_string();
+        assert_eq!(
+            toml_value(&table, "workspace"),
+            Some("true"),
+            "{} must inherit [workspace.lints]",
+            manifest.display()
+        );
+    }
+    for manifest in &shims {
+        let table = toml_table(&read(manifest), "lints.rust").to_string();
+        assert_eq!(
+            toml_value(&table, "unsafe_code"),
+            Some("\"forbid\""),
+            "{} must forbid unsafe code",
+            manifest.display()
+        );
+    }
+
+    // L8: the crossbeam shim has only `bounded()`; std's unbounded
+    // constructor and the two receives with a non-disconnection error
+    // are disallowed, which leaves `recv()` and its one error variant.
+    let clippy = read(&root.join("crates/clippy.toml"));
+    let methods = toml_array(&clippy, "disallowed-methods");
+    for path in [
+        "std::sync::mpsc::channel",
+        "std::sync::mpsc::Receiver::try_recv",
+        "std::sync::mpsc::Receiver::recv_timeout",
+    ] {
+        assert!(
+            methods.contains(&format!("\"{path}\"")),
+            "{path} not disallowed"
+        );
+    }
+    let channel = read(&root.join("shims/crossbeam/src/channel.rs"));
+    assert!(
+        !channel.contains("fn unbounded"),
+        "the shim must stay bounded-only"
+    );
+}
+
+#[test]
+fn an_unreadable_source_is_an_error_that_names_it() {
+    let root =
+        std::env::temp_dir().join(format!("sketches-lint-unreadable-{}", std::process::id()));
+    let src = root.join("crates/bad/src");
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&src).expect("mkdir");
+    std::fs::write(root.join("Cargo.toml"), "[workspace]\n").expect("root manifest");
+    std::fs::write(root.join("crates/bad/Cargo.toml"), "[package]\n").expect("manifest");
+    std::fs::write(src.join("lib.rs"), [0xff, 0xfe, b'\n']).expect("source");
+    let err = check_workspace(&root).expect_err("invalid UTF-8 must not lint clean");
+    let _ = std::fs::remove_dir_all(&root);
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("crates/bad/src/lib.rs"), "{err}");
 }

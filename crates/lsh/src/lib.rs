@@ -15,8 +15,6 @@
 //!   signatures (the LSH S-curve of experiment E10) and over concatenated
 //!   E2LSH keys.
 
-#![forbid(unsafe_code)]
-
 pub mod index;
 pub mod minhash;
 pub mod pstable;

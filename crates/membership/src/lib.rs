@@ -29,8 +29,6 @@
 //! assert!(f.contains("alice@example.com")); // no false negatives
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod blocked;
 pub mod bloom;
 pub mod counting;

@@ -13,8 +13,6 @@
 //!   (sketched gradients, server-side momentum and error feedback in
 //!   sketch space), with communication accounting for experiment E15.
 
-#![forbid(unsafe_code)]
-
 pub mod compress;
 pub mod data;
 pub mod fetchsgd;

@@ -41,8 +41,6 @@
 //! assert_eq!(hist.snapshot().count(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod clock;
 mod metrics;
 mod registry;

@@ -20,8 +20,6 @@
 //!   sensitivity-calibrated scale, and the noisy-histogram baseline for
 //!   experiment E12.
 
-#![forbid(unsafe_code)]
-
 pub mod dp_sketch;
 pub mod frequency_oracle;
 pub mod mechanisms;

@@ -36,8 +36,6 @@
 //! assert!((median - 10_000.0).abs() < 600.0);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod exact;
 pub mod gk;
 pub mod kll;

@@ -10,8 +10,6 @@
 //! updated estimate, so each copy's randomness is spent only once.
 //! Experiment E13 reproduces the break-then-defend story.
 
-#![forbid(unsafe_code)]
-
 pub mod attack;
 pub mod switching;
 

@@ -21,8 +21,6 @@
 //! * [`lp`] — precision sampling (`Pr[i] ∝ fᵢᵖ / Fₚ`) via scaled
 //!   Count-Sketch with dyadic argmax search, p ∈ (0, 2].
 
-#![forbid(unsafe_code)]
-
 pub mod bernoulli;
 pub mod distinct;
 pub mod l0;

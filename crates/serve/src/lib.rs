@@ -51,9 +51,7 @@
 //!
 //! Everything is plain `std` networking — no async runtime, no external
 //! HTTP dependency — so the robustness properties live in ~seven small
-//! modules that the workspace's concurrency lints (L6–L9) fully cover.
-
-#![forbid(unsafe_code)]
+//! modules that the workspace's concurrency lints (L6, L7, L9) fully cover.
 
 pub mod backoff;
 pub mod http;

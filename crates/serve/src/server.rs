@@ -10,6 +10,10 @@
 //! * **Per-request deadlines** — socket read/write timeouts plus a total
 //!   wall-clock budget; exceeding either produces a typed 504 and the
 //!   connection is closed, never leaked.
+//! * **Recorded before visible** — a request is counted in `/metrics` and
+//!   its sampled trace is in `/v1/debug/traces` before the connection is
+//!   half-closed, so a client that has read a response to EOF finds it in
+//!   both.
 //! * **Graceful degradation** — a poisoned engine flips the server
 //!   read-only: queries keep serving the last published epoch, ingest
 //!   returns 503, `/healthz` stays green, `/readyz` goes red.
@@ -343,14 +347,16 @@ fn shed(
     let response = Response::error(status, code, detail).retry_after(config.retry_after_secs);
     let _ = response.write_to(&mut stream);
     let _ = stream.flush();
-    // Short drain budget: shedding runs on the accept thread, so a
-    // misbehaving client must not stall admission for long.
-    finish_connection(&stream, Duration::from_millis(20));
+    // Recorded before the half-close: a client that has read the
+    // response already finds it counted.
     state.metrics.record(
         Route::Accept,
         status,
         state.clock.now_nanos().saturating_sub(started),
     );
+    // Short drain budget: shedding runs on the accept thread, so a
+    // misbehaving client must not stall admission for long.
+    finish_connection(&stream, Duration::from_millis(20));
 }
 
 /// Closes a connection without a TCP reset: half-close the write side so
@@ -450,7 +456,6 @@ fn handle_connection(mut stream: TcpStream, state: &AppState, config: &ServerCon
 
     let write_start = state.clock.now_nanos();
     let _ = response.write_to(&mut stream);
-    finish_connection(&stream, config.read_timeout);
     let ended = state.clock.now_nanos();
     state
         .metrics
@@ -469,6 +474,9 @@ fn handle_connection(mut stream: TcpStream, state: &AppState, config: &ServerCon
         ],
     );
     state.metrics.exit();
+    // Only now half-close: the client sees EOF after the request is in
+    // `/metrics` and its trace, if sampled, in `/v1/debug/traces`.
+    finish_connection(&stream, config.read_timeout);
 }
 
 /// Dispatches a parsed request to its handler.

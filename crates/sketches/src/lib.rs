@@ -57,8 +57,6 @@
 //! assert!(lat.quantile(0.99).unwrap() > 9_500.0);
 //! ```
 
-#![forbid(unsafe_code)]
-
 /// The trait vocabulary (`Update`, `MergeSketch`, `SpaceUsage`, …).
 pub mod core {
     pub use sketches_core::*;

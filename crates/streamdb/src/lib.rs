@@ -47,8 +47,6 @@
 //!   a fraction of the fat state's size and is what cross-shard merges
 //!   and the serving wire actually ship.
 
-#![forbid(unsafe_code)]
-
 pub mod concurrent;
 pub mod durable;
 pub mod engine;

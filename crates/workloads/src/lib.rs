@@ -21,8 +21,6 @@
 //! * [`serving`] — mixed ingest+query serving workload (Zipf-hot groups,
 //!   independent seeded query schedule) for the concurrency drill of E25.
 
-#![forbid(unsafe_code)]
-
 pub mod ads;
 pub mod exact;
 pub mod faults;

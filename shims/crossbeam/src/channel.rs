@@ -1,6 +1,7 @@
 //! MPSC channels with the `crossbeam::channel` surface, over
-//! `std::sync::mpsc`. Bounded channels block the sender when full, which is
-//! the backpressure contract the ingest pipelines rely on.
+//! `std::sync::mpsc`. Every channel is bounded: a full channel blocks
+//! `send` and fails `try_send`, which is the backpressure contract the
+//! ingest pipelines rely on. There is no `unbounded()` constructor.
 
 use std::fmt;
 use std::sync::mpsc;
@@ -39,23 +40,9 @@ impl<T> TrySendError<T> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecvError;
 
-enum Tx<T> {
-    Bounded(mpsc::SyncSender<T>),
-    Unbounded(mpsc::Sender<T>),
-}
-
-impl<T> Clone for Tx<T> {
-    fn clone(&self) -> Self {
-        match self {
-            Self::Bounded(s) => Self::Bounded(s.clone()),
-            Self::Unbounded(s) => Self::Unbounded(s.clone()),
-        }
-    }
-}
-
 /// The sending half of a channel. Cloneable (multi-producer).
 pub struct Sender<T> {
-    tx: Tx<T>,
+    tx: mpsc::SyncSender<T>,
 }
 
 impl<T> Clone for Sender<T> {
@@ -67,32 +54,26 @@ impl<T> Clone for Sender<T> {
 }
 
 impl<T> Sender<T> {
-    /// Sends `value`, blocking while a bounded channel is full.
+    /// Sends `value`, blocking while the channel is full.
     ///
     /// # Errors
     /// Returns the value back when the receiver has been dropped.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        match &self.tx {
-            Tx::Bounded(s) => s.send(value).map_err(|e| SendError(e.0)),
-            Tx::Unbounded(s) => s.send(value).map_err(|e| SendError(e.0)),
-        }
+        self.tx.send(value).map_err(|e| SendError(e.0))
     }
 
-    /// Sends `value` without blocking: on a full bounded channel the
-    /// value comes straight back as [`TrySendError::Full`] (the
-    /// load-shedding primitive). Unbounded channels never report `Full`.
+    /// Sends `value` without blocking: on a full channel the value comes
+    /// straight back as [`TrySendError::Full`] (the load-shedding
+    /// primitive).
     ///
     /// # Errors
-    /// [`TrySendError::Full`] when a bounded channel is at capacity,
+    /// [`TrySendError::Full`] when the channel is at capacity,
     /// [`TrySendError::Disconnected`] when the receiver is gone.
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        match &self.tx {
-            Tx::Bounded(s) => s.try_send(value).map_err(|e| match e {
-                mpsc::TrySendError::Full(v) => TrySendError::Full(v),
-                mpsc::TrySendError::Disconnected(v) => TrySendError::Disconnected(v),
-            }),
-            Tx::Unbounded(s) => s.send(value).map_err(|e| TrySendError::Disconnected(e.0)),
-        }
+        self.tx.try_send(value).map_err(|e| match e {
+            mpsc::TrySendError::Full(v) => TrySendError::Full(v),
+            mpsc::TrySendError::Disconnected(v) => TrySendError::Disconnected(v),
+        })
     }
 }
 
@@ -150,23 +131,7 @@ impl<'a, T> IntoIterator for &'a Receiver<T> {
 /// Creates a bounded channel with capacity `cap`; senders block when full.
 pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
     let (tx, rx) = mpsc::sync_channel(cap);
-    (
-        Sender {
-            tx: Tx::Bounded(tx),
-        },
-        Receiver { rx },
-    )
-}
-
-/// Creates an unbounded channel.
-pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    let (tx, rx) = mpsc::channel();
-    (
-        Sender {
-            tx: Tx::Unbounded(tx),
-        },
-        Receiver { rx },
-    )
+    (Sender { tx }, Receiver { rx })
 }
 
 #[cfg(test)]
@@ -218,18 +183,8 @@ mod tests {
     }
 
     #[test]
-    fn try_send_on_unbounded_never_reports_full() {
-        let (tx, rx) = unbounded();
-        for i in 0..1_000 {
-            assert_eq!(tx.try_send(i), Ok(()));
-        }
-        drop(rx);
-        assert!(matches!(tx.try_send(0), Err(TrySendError::Disconnected(0))));
-    }
-
-    #[test]
     fn multiple_producers() {
-        let (tx, rx) = unbounded::<u64>();
+        let (tx, rx) = bounded::<u64>(2);
         let tx2 = tx.clone();
         tx.send(1).unwrap();
         tx2.send(2).unwrap();

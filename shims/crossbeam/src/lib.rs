@@ -6,8 +6,9 @@
 //! * `crossbeam::scope(|scope| { scope.spawn(|_| ...); })` returning
 //!   `Result<R, Box<dyn Any + Send>>` (Err when any spawned thread
 //!   panicked).
-//! * `crossbeam::channel::{bounded, unbounded}` with cloneable senders and
-//!   iterable receivers.
+//! * `crossbeam::channel::bounded` with cloneable senders and iterable
+//!   receivers. `unbounded` is left out on purpose: every queue in the
+//!   workspace applies backpressure.
 
 pub mod channel;
 pub mod thread;

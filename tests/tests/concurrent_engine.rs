@@ -12,13 +12,13 @@
     reason = "test helpers outside #[test] fns fail fast; a panic here is the test failing"
 )]
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use sketches::streamdb::{
     Aggregate, AggregateResult, CheckpointPolicy, ConcurrentEngine, DurableEngine, FaultPolicy,
     QuerySpec, Row, ShardedEngine, SketchEngine, Value,
 };
+use sketches_integration_tests::scratch_dir;
 use sketches_workloads::serving::ServingWorkload;
 
 const SHARDS: usize = 4;
@@ -57,15 +57,6 @@ fn serving_batches(seed: u64) -> Vec<Vec<Row>> {
                 .collect()
         })
         .collect()
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let n = N.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "sketches-concurrent-it-{}-{tag}-{n}",
-        std::process::id()
-    ))
 }
 
 /// The core stress drill: several reader threads hammer `report()`,
@@ -380,8 +371,7 @@ fn flush_window_matches_sequential_and_resets() {
 /// live worker pool, and the recovered engine both serves and ingests.
 #[test]
 fn durable_wrapper_checkpoints_and_recovers_concurrent_engine() {
-    let dir = scratch_dir("durable");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("sketches-concurrent-it", "durable");
     let batches = serving_batches(97);
     let policy = CheckpointPolicy::new(2 * BATCH_ROWS as u64, u64::MAX).expect("policy");
 

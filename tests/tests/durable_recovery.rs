@@ -12,7 +12,6 @@
 )]
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use sketches::core::SketchError;
@@ -20,19 +19,11 @@ use sketches::streamdb::{
     Aggregate, CheckpointPolicy, DurableEngine, KillPoint, QuerySpec, Row, ShardedEngine,
     SketchEngine, StreamEngine, Value, SIMULATED_CRASH_MARKER,
 };
+use sketches_integration_tests::scratch_dir;
 use sketches_workloads::faults::{CrashOp, CrashPlan};
 
 const NUM_BATCHES: u64 = 8;
 const BATCH_ROWS: u64 = 120;
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let n = N.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "sketches-durable-drill-{}-{tag}-{n}",
-        std::process::id()
-    ))
-}
 
 fn spec() -> QuerySpec {
     QuerySpec::new(
@@ -79,8 +70,7 @@ fn kill_point(op: CrashOp) -> KillPoint {
 /// and compare again. Written once against `StreamEngine`, run for both
 /// engines by the callers below.
 fn drill<E: StreamEngine>(tag: &str, make: &dyn Fn() -> E, seed: u64, at_batch: u64, op: CrashOp) {
-    let dir = scratch_dir(tag);
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("sketches-durable-drill", tag);
     // A tight row bound so natural checkpoints interleave with planted ones.
     let policy = CheckpointPolicy::new(3 * BATCH_ROWS, u64::MAX).expect("policy");
 
@@ -209,7 +199,7 @@ fn wal_path(dir: &std::path::Path) -> PathBuf {
 /// Builds a store with two logged batches and returns (dir, snapshot of
 /// batch-1-only state, snapshot of full state).
 fn two_batch_store(tag: &str) -> (PathBuf, Vec<u8>, Vec<u8>) {
-    let dir = scratch_dir(tag);
+    let dir = scratch_dir("sketches-durable-drill", tag);
     let mut durable = DurableEngine::create(
         &dir,
         SketchEngine::new(spec()).expect("engine"),
@@ -326,7 +316,7 @@ fn stray_tmp_checkpoint_is_discarded() {
 
 #[test]
 fn checkpoint_lag_stays_bounded() {
-    let dir = scratch_dir("lag");
+    let dir = scratch_dir("sketches-durable-drill", "lag");
     let policy = CheckpointPolicy::new(250, u64::MAX).expect("policy");
     let mut durable =
         DurableEngine::create(&dir, SketchEngine::new(spec()).expect("engine"), policy)
@@ -349,7 +339,7 @@ fn checkpoint_lag_stays_bounded() {
 
 #[test]
 fn create_refuses_existing_store_and_recover_needs_one() {
-    let dir = scratch_dir("guard");
+    let dir = scratch_dir("sketches-durable-drill", "guard");
     let durable = DurableEngine::create(
         &dir,
         SketchEngine::new(spec()).expect("engine"),
@@ -365,7 +355,7 @@ fn create_refuses_existing_store_and_recover_needs_one() {
     .expect_err("must refuse");
     assert!(matches!(err, SketchError::InvalidParameter { .. }), "{err}");
 
-    let empty = scratch_dir("guard-empty");
+    let empty = scratch_dir("sketches-durable-drill", "guard-empty");
     std::fs::create_dir_all(&empty).expect("mkdir");
     let err = DurableEngine::<SketchEngine>::recover(&empty).expect_err("nothing to recover");
     assert!(matches!(err, SketchError::Corrupted { .. }), "{err}");

@@ -10,15 +10,13 @@
     reason = "test helpers outside #[test] fns fail fast; a panic here is the test failing"
 )]
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use proptest::prelude::*;
 use sketches::streamdb::metrics::names;
 use sketches::streamdb::{
     Aggregate, CheckpointPolicy, DurableEngine, FaultPolicy, QuerySpec, Row, ShardedEngine,
     SketchEngine, StreamEngine, Value,
 };
+use sketches_integration_tests::scratch_dir;
 use sketches_workloads::zipf::ZipfGenerator;
 
 fn spec() -> QuerySpec {
@@ -128,16 +126,9 @@ fn disabling_metrics_changes_no_observable_state() {
     assert_eq!(off.metrics().counters.len(), on.metrics().counters.len());
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let n = N.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("sketches-obs-{}-{tag}-{n}", std::process::id()))
-}
-
 #[test]
 fn torn_tail_recovery_is_counted_and_reported() {
-    let dir = scratch_dir("torn");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("sketches-obs", "torn");
     let mut durable = DurableEngine::create(
         &dir,
         SketchEngine::new(spec()).expect("engine"),

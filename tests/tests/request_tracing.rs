@@ -15,7 +15,6 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -23,6 +22,7 @@ use sketches::streamdb::{
     silence_injected_panics, Aggregate, CheckpointPolicy, ConcurrentEngine, DurableEngine, IdGen,
     ManualClock, QuerySpec, Row, Stage, Trace, TraceContext, Value,
 };
+use sketches_integration_tests::scratch_dir;
 use sketches_serve::{Backend, Sampling, Server, ServerConfig, TraceConfig};
 
 fn spec() -> QuerySpec {
@@ -35,15 +35,6 @@ fn spec() -> QuerySpec {
         ],
     )
     .expect("valid spec")
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let n = N.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "sketches-trace-it-{}-{tag}-{n}",
-        std::process::id()
-    ))
 }
 
 fn rows(seed: u64, n: u64) -> Vec<Row> {
@@ -119,7 +110,7 @@ fn ingest_rows(addr: SocketAddr, n: u64, group_mod: u64) -> (u16, String, String
 /// batch through submit → shards → publish → WAL append → fsync, and
 /// returns the finished trace plus its JSON rendering.
 fn traced_span_tree(seed: u64) -> (Trace, String) {
-    let dir = scratch_dir("span-tree");
+    let dir = scratch_dir("sketches-trace-it", "span-tree");
     let clock = Arc::new(ManualClock::starting_at(1_000));
     let mut engine = ConcurrentEngine::new(spec(), 2).expect("engine");
     // The inner engine's clock must be installed before wrapping: the
@@ -200,7 +191,7 @@ fn manual_clock_pins_an_exact_span_tree() {
 }
 
 fn traced_server(trace: TraceConfig) -> (Server, PathBuf) {
-    let dir = scratch_dir("traced-server");
+    let dir = scratch_dir("sketches-trace-it", "traced-server");
     let engine = ConcurrentEngine::new(spec(), 2).expect("engine");
     let policy = CheckpointPolicy::new(1_000_000, u64::MAX).expect("policy");
     let durable = DurableEngine::create(dir.clone(), engine, policy).expect("durable engine");
@@ -266,6 +257,77 @@ fn debug_traces_serves_versioned_socket_to_wal_spans() {
 
     let _ = server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A response is visible only after it is recorded. The client reads the
+/// ingest's response to EOF and keeps its socket open, which parks that
+/// worker in the post-response drain for up to `read_timeout`. Requests on
+/// fresh connections, served by the other two idle workers, must already
+/// find the ingest counted in `/metrics` and its spans in
+/// `/v1/debug/traces`. No timing luck is involved: a server that records
+/// after the drain fails this on every run, since the drain outlasts the
+/// whole test.
+#[test]
+fn a_response_read_to_eof_is_already_recorded_and_traced() {
+    let engine = ConcurrentEngine::new(spec(), 2).expect("engine");
+    let config = ServerConfig {
+        workers: 3,
+        read_timeout: Duration::from_secs(10),
+        trace: TraceConfig {
+            sampling: Sampling::Always,
+            ..TraceConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let server = Server::start(config, Backend::Volatile(engine)).expect("server");
+    let addr = server.addr();
+
+    let body = "{\"rows\":[[1,2,3.0],[2,3,4.0]]}";
+    let mut held = TcpStream::connect(addr).expect("connect");
+    held.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    write!(
+        held,
+        "POST /v1/ingest HTTP/1.1\r\nHost: it\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("write request");
+    let mut raw = String::new();
+    held.read_to_string(&mut raw).expect("response to EOF");
+    assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+    let trace_id = raw
+        .lines()
+        .find_map(|l| l.strip_prefix("traceparent: 00-"))
+        .and_then(|tp| tp.split('-').next())
+        .unwrap_or_else(|| panic!("no traceparent header: {raw}"))
+        .to_string();
+
+    let (status, _, metrics) = exchange(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    assert!(
+        metrics.contains("serve_requests_total{route=\"ingest\",status=\"200\"} 1"),
+        "the ingest whose response was read must be counted: {metrics}"
+    );
+
+    let (status, _, traces) = exchange(addr, "GET", "/v1/debug/traces", "");
+    assert_eq!(status, 200);
+    let start = traces
+        .find(&format!("\"trace_id\":\"{trace_id}\""))
+        .unwrap_or_else(|| panic!("trace {trace_id} missing from {traces}"));
+    let trace = &traces[start..];
+    let trace = &trace[..trace[1..]
+        .find("\"trace_id\"")
+        .map_or(trace.len(), |n| n + 1)];
+    for stage in ["parse", "handle", "write", "engine_apply", "publish"] {
+        assert!(
+            trace.contains(&format!("\"stage\":\"{stage}\"")),
+            "missing {stage} span in {trace}"
+        );
+    }
+    assert!(trace.contains("\"route\":\"ingest\""), "{trace}");
+
+    drop(held);
+    let _ = server.shutdown();
 }
 
 /// An incoming `traceparent` header continues the remote trace: the

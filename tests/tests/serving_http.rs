@@ -14,14 +14,13 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use sketches::streamdb::{
     silence_injected_panics, Aggregate, CheckpointPolicy, ConcurrentEngine, DurableEngine,
     QuerySpec,
 };
+use sketches_integration_tests::scratch_dir;
 use sketches_serve::{Backend, Limits, RetryPolicy, Server, ServerConfig};
 
 fn spec() -> QuerySpec {
@@ -34,15 +33,6 @@ fn spec() -> QuerySpec {
         ],
     )
     .expect("valid spec")
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let n = N.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "sketches-serve-it-{}-{tag}-{n}",
-        std::process::id()
-    ))
 }
 
 fn volatile_server(config: ServerConfig) -> Server {
@@ -378,7 +368,7 @@ fn oversized_body_is_typed_413() {
 /// every acknowledged row.
 #[test]
 fn drain_flushes_checkpoint_and_restart_is_byte_exact() {
-    let dir = scratch_dir("drain");
+    let dir = scratch_dir("sketches-serve-it", "drain");
     // A WAL-roll policy big enough that only the drain checkpoint runs.
     let policy = CheckpointPolicy::new(1_000_000, u64::MAX).expect("policy");
     let engine = ConcurrentEngine::new(spec(), 2).expect("engine");
